@@ -21,9 +21,14 @@ from .dataio import (
     read_logic_json,
 )
 from .embedding import EMBEDDABLE, NOT_EMBEDDABLE, UNDECIDED, classify_embedding
-from .events import Event, EventFamily, NumericalEventError
-from .logic import ConcreteLogic, boolean_by_minima, check_concrete_logic
-from .tolerance import DEFAULT_EPS, set_eps
+from .events import Event, EventFamily, NotTwoValuedError, NumericalEventError
+from .logic import (
+    DEFAULT_CLOSURE_CAP,
+    ConcreteLogic,
+    boolean_by_minima,
+    check_concrete_logic,
+)
+from .tolerance import DEFAULT_EPS, eps_scope, get_eps
 from .valuations import (
     ENUMERATION_CAP,
     count_01_valuations,
@@ -45,10 +50,6 @@ def _fmt_number(v: float) -> str:
     return repr(v)
 
 
-def _event_values(event: Event) -> list[float]:
-    return list(event.values)
-
-
 def _fmt_values(event: Event) -> str:
     return "[" + ", ".join(repr(v) for v in event.values) + "]"
 
@@ -62,10 +63,7 @@ def _emit(report: dict, text_lines: list[str], fmt: str) -> None:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     family, names = read_events_csv(args.input)
-    if args.budget is not None:
-        result = classify_embedding(family, closure_cap=args.budget)
-    else:
-        result = classify_embedding(family)
+    result = classify_embedding(family, closure_cap=args.budget or DEFAULT_CLOSURE_CAP)
     report = {
         "command": "classify",
         "events": list(names),
@@ -74,7 +72,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "container": str(result.container) if result.container else None,
         "reasons": list(result.reasons),
         "witnesses": [
-            {"name": name, "values": _event_values(event)}
+            {"name": name, "values": list(event.values)}
             for name, event in result.witnesses
         ],
     }
@@ -101,16 +99,18 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_boolean(args: argparse.Namespace) -> int:
     space, events, family_indices = read_logic_json(args.input)
-    defect = check_concrete_logic(events)
-    if defect is not None:
+    try:
+        logic = ConcreteLogic.from_events(events)
+    except (NotTwoValuedError, ValueError):
+        # only a broken logic gets here: name its first defect and offenders
+        defect = check_concrete_logic(events)
         offenders = "; ".join(_fmt_values(e) for e in defect.offenders)
         detail = f"axiom {defect.axiom} violated: {defect.detail}"
         if offenders:
             detail += f" ({offenders})"
-        raise NumericalEventError(detail)
+        raise NumericalEventError(detail) from None
     if not family_indices:
         raise DataFormatError("'family' must select at least one logic member")
-    logic = ConcreteLogic.from_events(events)
     family = EventFamily(tuple(events[i] for i in family_indices))
     verdict = boolean_by_minima(logic, family)
     report = {
@@ -123,7 +123,7 @@ def _cmd_boolean(args: argparse.Namespace) -> int:
         if verdict.missing_minimum
         else None,
         "witnesses": [
-            {"name": name, "values": _event_values(event)}
+            {"name": name, "values": list(event.values)}
             for name, event in (verdict.witnesses or {}).items()
         ],
     }
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help="node budget for bounded searches (library default when omitted)",
+        help="closure size cap for classify, at least 1 (library default when omitted)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -282,16 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
         "bell", help="evaluate consistency inequalities on a correlation CSV"
     )
     p_bell.add_argument("input", help="correlation CSV (state,subset,value)")
-    mode = p_bell.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--pairs-only",
-        action="store_true",
-        help="only the displayed pair inequalities (default)",
-    )
-    mode.add_argument(
+    p_bell.add_argument(
         "--all-valuations",
         action="store_true",
-        help="every enumerated 0/1 valuation",
+        help="every enumerated 0/1 valuation instead of the pair inequalities",
     )
     p_bell.set_defaults(handler=_cmd_bell)
 
@@ -312,11 +306,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.eps is not None:
-            set_eps(args.eps)
-        elif os.environ.get(ENV_EPS):
-            set_eps(float(os.environ[ENV_EPS]))
-        return args.handler(args)
+        if args.budget is not None:
+            if args.command != "classify":
+                raise ValueError("--budget applies only to classify")
+            if args.budget < 1:
+                raise ValueError(f"--budget must be at least 1, got {args.budget}")
+        eps = args.eps
+        if eps is None and os.environ.get(ENV_EPS):
+            eps = float(os.environ[ENV_EPS])
+        with eps_scope(get_eps() if eps is None else eps):
+            return args.handler(args)
     except (NumericalEventError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -16,6 +16,7 @@ defining chains a <= p_I <= a + p_J <= 1 are exactly the inequalities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -33,6 +34,7 @@ from .valuations import (
     SetFunction,
     format_subset,
     is_bell_valuation,
+    mask_from_indices,
     pair_inequality,
     subset_labels,
 )
@@ -171,47 +173,23 @@ def evaluate_inequality(
     )
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-
-
-def _mask(*indices: int) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << (i - 1)
-    return m
-
-
 def pair_schedule(n: int) -> tuple[tuple[int, int], ...]:
     """The (I, J) rows of the displayed inequality lists, in display order.
 
     n=2 has one row, n=3 five, n=4 twenty-three.
     """
-    if n == 2:
-        return ((_mask(1), _mask(2)),)
+    if n not in (2, 3, 4):
+        raise ValueError(f"no inequality list for n={n}; supported n are 2, 3, 4")
+    rows = [((i,), (j,)) for i, j in combinations(range(1, n + 1), 2)]
     if n == 3:
-        rows = [(_mask(i), _mask(j)) for i, j in _pairs(3)]
-        rows.append((_mask(1, 2), _mask(1, 3)))
-        rows.append((_mask(1, 2), _mask(2, 3)))
-        return tuple(rows)
+        rows += [((1, 2), (1, 3)), ((1, 2), (2, 3))]
     if n == 4:
-        rows = [(_mask(i), _mask(j)) for i, j in _pairs(4)]
-        triples = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
-        for i, j, k in triples:
-            rows.append((_mask(i, j), _mask(i, k)))
-        for i, j, k in triples:
-            rows.append((_mask(i, j), _mask(j, k)))
-        rows.append((_mask(1, 2), _mask(3, 4)))
-        rows.append((_mask(1, 3), _mask(2, 4)))
-        rows.append((_mask(1, 4), _mask(2, 3)))
-        rows.append((_mask(1, 2, 3), _mask(1, 2, 4)))
-        rows.append((_mask(1, 2, 3), _mask(1, 3, 4)))
-        rows.append((_mask(1, 2, 3), _mask(2, 3, 4)))
-        rows.append((_mask(1, 2, 4), _mask(1, 3, 4)))
-        rows.append((_mask(1, 2, 4), _mask(2, 3, 4)))
-        rows.append((_mask(1, 3, 4), _mask(2, 3, 4)))
-        return tuple(rows)
-    raise ValueError(f"no inequality list for n={n}; supported n are 2, 3, 4")
+        triples = list(combinations(range(1, 5), 3))
+        rows += [((i, j), (i, k)) for i, j, k in triples]
+        rows += [((i, j), (j, k)) for i, j, k in triples]
+        rows += [((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))]
+        rows += combinations(triples, 2)
+    return tuple((mask_from_indices(i, n), mask_from_indices(j, n)) for i, j in rows)
 
 
 def _row_label(i_mask: int, j_mask: int) -> str:

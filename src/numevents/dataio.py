@@ -30,7 +30,7 @@ from .events import (
     StateSpace,
 )
 from .correlations import CorrelationTable
-from .valuations import format_subset
+from .valuations import format_subset, mask_from_indices
 
 __all__ = [
     "DataFormatError",
@@ -193,9 +193,7 @@ def read_correlations_csv(source) -> CorrelationTable:
     space = StateSpace(tuple(states))
     cells: dict[tuple[int, str], float] = {}
     for line_num, state, indices, value in parsed:
-        mask = 0
-        for i in indices:
-            mask |= 1 << (i - 1)
+        mask = mask_from_indices(indices, n)
         key = (mask, state)
         if key in cells:
             raise DataFormatError(

@@ -52,7 +52,7 @@ LabeledEvent = tuple[str, Event]
 class Container:
     """Descriptor of a smallest known containing algebra."""
 
-    kind: str  # "MO" | "BOOLEAN_8" | "BOOLEAN_16" | "GFE_CLOSURE"
+    kind: str  # "MO" | "BOOLEAN_8" | "GFE_CLOSURE"
     size: int | None = None
 
     def __str__(self) -> str:

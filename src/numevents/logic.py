@@ -6,6 +6,12 @@ two-valued event is the indicator of a state subset, the whole module
 works on bitmasks: complement is XOR with the full mask, orthogonality
 is disjointness, and orthogonal sum is union.
 
+One semi-naive kernel, ``_gaps``, finds every missing complement (A2)
+or disjoint union (A3). It decides the axioms for all three users:
+``gfe_closure`` adds its gaps round by round, while ``ConcreteLogic``
+validation and ``check_concrete_logic`` report its first gap. A closure
+built by the kernel is not checked a second time.
+
 Two independent routes decide whether a family sits inside a Boolean
 subalgebra of a logic P:
 
@@ -21,7 +27,7 @@ subalgebra of a logic P:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Container, Iterable, Iterator
 
 from .correlations import CorrelationTable, witnesses_from_correlations
 from .events import (
@@ -39,6 +45,7 @@ from .events import (
     pointwise_min,
 )
 from .tolerance import get_eps
+from .valuations import indices_from_mask, mask_from_indices
 
 __all__ = [
     "NotInLogicError",
@@ -114,17 +121,18 @@ class ConcreteLogic:
         full = (1 << self.space.size) - 1
         if any(not 0 <= m <= full for m in self.masks):
             raise ValueError("mask outside the state space")
-        if 0 not in self.masks:
-            raise ValueError("closure axiom A1 violated: zero event missing")
-        for m in self.masks:
-            if (m ^ full) not in self.masks:
-                raise ValueError("closure axiom A2 violated: complement missing")
-        for a in self.masks:
-            for b in self.masks:
-                if a < b and a & b == 0 and (a | b) not in self.masks:
-                    raise ValueError(
-                        "closure axiom A3 violated: orthogonal sum missing"
-                    )
+        defect = _first_defect(self.masks, full)
+        if defect is not None:
+            axiom = defect[0]
+            raise ValueError(f"closure axiom {axiom} violated: {_AXIOM_DETAIL[axiom]}")
+
+    @classmethod
+    def _closed(cls, space: StateSpace, masks: Iterable[int]) -> "ConcreteLogic":
+        # masks the kernel has just closed; skips the second check in __init__
+        logic = object.__new__(cls)
+        object.__setattr__(logic, "space", space)
+        object.__setattr__(logic, "masks", frozenset(masks))
+        return logic
 
     @classmethod
     def from_events(cls, events: Iterable[Event]) -> "ConcreteLogic":
@@ -156,6 +164,43 @@ class ConcreteLogic:
         return len(self.masks)
 
 
+_AXIOM_DETAIL = {
+    "A1": "zero event missing",
+    "A2": "complement missing",
+    "A3": "orthogonal sum missing",
+}
+
+
+def _gaps(
+    masks: Container[int], full: int, frontier: list[int]
+) -> Iterator[tuple[str, int, tuple[int, ...]]]:
+    """Yield (axiom, missing mask, offenders) for every A2 or A3 gap.
+
+    Semi-naive: only frontier members are paired with all members, and a
+    pair of two frontier members is taken once, as a < b. With a sorted
+    frontier the complements come first, then the pairs in lexicographic
+    order, so with frontier = all members the first gap is the smallest.
+    """
+    for m in frontier:
+        if (m ^ full) not in masks:
+            yield "A2", m ^ full, (m,)
+    members = sorted(masks)
+    fresh = set(frontier)
+    for a in frontier:
+        for b in members:
+            if a & b == 0 and (a < b or b not in fresh) and (a | b) not in masks:
+                yield "A3", a | b, (a, b) if a < b else (b, a)
+
+
+def _first_defect(masks: Container[int], full: int) -> tuple[str, tuple[int, ...]] | None:
+    """First violated axiom among A1-A3 with its offender masks, or None."""
+    if 0 not in masks:
+        return "A1", ()
+    for axiom, _missing, offenders in _gaps(masks, full, sorted(masks)):
+        return axiom, offenders
+    return None
+
+
 def gfe_closure(
     events: Iterable[Event],
     space: StateSpace | None = None,
@@ -164,7 +209,9 @@ def gfe_closure(
 ) -> ConcreteLogic:
     """Smallest concrete logic containing the given two-valued events.
 
-    Fixpoint under complement and disjoint union, seeded with 0 and 1.
+    Fixpoint under complement and disjoint union, seeded with 0 and 1;
+    each round pairs only the members the previous round added. More
+    than max_size members, seeds included, raises BudgetExceededError.
     An empty collection needs an explicit state space and yields {0, 1}.
     """
     items = list(events)
@@ -178,29 +225,20 @@ def gfe_closure(
         if e.space != space:
             raise SpaceMismatchError("events reference different state spaces")
         masks.add(event_mask(e))
-    while True:
-        fresh = set()
-        for m in masks:
-            c = m ^ full
-            if c not in masks:
-                fresh.add(c)
-        for a in masks:
-            for b in masks:
-                if a < b and a & b == 0 and (a | b) not in masks:
-                    fresh.add(a | b)
-        if not fresh:
-            break
-        masks |= fresh
+    frontier = sorted(masks)
+    while frontier:
         if len(masks) > max_size:
             raise BudgetExceededError("budget exceeded: closure size")
-    return ConcreteLogic(space=space, masks=frozenset(masks))
+        frontier = sorted({gap for _axiom, gap, _offenders in _gaps(masks, full, frontier)})
+        masks.update(frontier)
+    return ConcreteLogic._closed(space, masks)
 
 
 def check_concrete_logic(events: Iterable[Event]) -> LogicDefect | None:
     """Verify the closure axioms on a raw event set; None means all hold."""
     items = list(events)
     if not items:
-        return LogicDefect("A1", "zero event missing", ())
+        return LogicDefect("A1", _AXIOM_DETAIL["A1"], ())
     space = items[0].space
     for e in items[1:]:
         if e.space != space:
@@ -211,19 +249,11 @@ def check_concrete_logic(events: Iterable[Event]) -> LogicDefect | None:
             masks.setdefault(event_mask(e), e)
         except NotTwoValuedError:
             return LogicDefect("two-valued", "member is not two-valued", (e,))
-    full = (1 << space.size) - 1
-    if 0 not in masks:
-        return LogicDefect("A1", "zero event missing", ())
-    for m in sorted(masks):
-        if (m ^ full) not in masks:
-            return LogicDefect("A2", "complement missing", (masks[m],))
-    for a in sorted(masks):
-        for b in sorted(masks):
-            if a < b and a & b == 0 and (a | b) not in masks:
-                return LogicDefect(
-                    "A3", "orthogonal sum missing", (masks[a], masks[b])
-                )
-    return None
+    defect = _first_defect(masks, (1 << space.size) - 1)
+    if defect is None:
+        return None
+    axiom, offenders = defect
+    return LogicDefect(axiom, _AXIOM_DETAIL[axiom], tuple(masks[m] for m in offenders))
 
 
 def is_concrete_logic(events: Iterable[Event]) -> bool:
@@ -306,14 +336,6 @@ class BooleanVerdict:
     witnesses: dict[str, Event] | None
 
 
-def _lex_subsets(n: int) -> list[tuple[int, ...]]:
-    subsets = []
-    for mask in range(1, 1 << n):
-        subsets.append(tuple(i + 1 for i in range(n) if mask & (1 << i)))
-    subsets.sort()
-    return subsets
-
-
 def boolean_by_minima(logic: ConcreteLogic, family: EventFamily) -> BooleanVerdict:
     """Minima criterion: the family is Boolean in P iff every non-empty
     subfamily's pointwise minimum belongs to P. Supported for n in
@@ -333,16 +355,13 @@ def boolean_by_minima(logic: ConcreteLogic, family: EventFamily) -> BooleanVerdi
             raise NotInLogicError("family member not in the logic")
         member_masks.append(m)
     minima: dict[int, int] = {}
-    for subset in _lex_subsets(n):
+    for subset in sorted(indices_from_mask(m) for m in range(1, 1 << n)):
         meet = (1 << logic.space.size) - 1
         for i in subset:
             meet &= member_masks[i - 1]
         if not logic.contains_mask(meet):
             return BooleanVerdict(boolean=False, missing_minimum=subset, witnesses=None)
-        subset_mask = 0
-        for i in subset:
-            subset_mask |= 1 << (i - 1)
-        minima[subset_mask] = meet
+        minima[mask_from_indices(subset, n)] = meet
     table = CorrelationTable.build(
         logic.space,
         n,

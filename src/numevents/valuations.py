@@ -134,30 +134,27 @@ def elementary_valuation(i_mask: int, n: int) -> SetFunction:
     return SetFunction(n, tuple(vals))
 
 
-def g_transform(h: SetFunction) -> SetFunction:
-    """Partial-sum transform: g(I) = sum of h(J) over non-empty J within I."""
+def _signed_zeta(h: SetFunction, sign: float) -> SetFunction:
+    # sign is +1.0 or -1.0, so sign * v is exact and x + (-v) equals x - v
     size = 1 << h.n
     vals = [0.0] * size
-    vals[1:] = list(h.values)
+    vals[1:] = h.values
     for b in range(h.n):
         bit = 1 << b
         for mask in range(size):
             if mask & bit:
-                vals[mask] += vals[mask ^ bit]
+                vals[mask] += sign * vals[mask ^ bit]
     return SetFunction(h.n, tuple(vals[1:]))
+
+
+def g_transform(h: SetFunction) -> SetFunction:
+    """Partial-sum transform: g(I) = sum of h(J) over non-empty J within I."""
+    return _signed_zeta(h, 1.0)
 
 
 def f_transform(h: SetFunction) -> SetFunction:
     """Inverse of g_transform: f(I) = sum of h(J)(-1)**|I \\ J| over J within I."""
-    size = 1 << h.n
-    vals = [0.0] * size
-    vals[1:] = list(h.values)
-    for b in range(h.n):
-        bit = 1 << b
-        for mask in range(size):
-            if mask & bit:
-                vals[mask] -= vals[mask ^ bit]
-    return SetFunction(h.n, tuple(vals[1:]))
+    return _signed_zeta(h, -1.0)
 
 
 def is_bell_valuation(f: SetFunction) -> bool:

@@ -16,6 +16,22 @@ def _restore_tolerance():
     yield
     set_eps(before)
 
+
+@pytest.fixture
+def kernel_frontiers(monkeypatch):
+    """Frontier size of every call of the concrete-logic closure kernel."""
+    import numevents.logic as logic_module
+
+    frontiers = []
+    real = logic_module._gaps
+
+    def counting(masks, full, frontier):
+        frontiers.append(len(frontier))
+        return real(masks, full, frontier)
+
+    monkeypatch.setattr(logic_module, "_gaps", counting)
+    return frontiers
+
 settings.register_profile(
     "deterministic",
     derandomize=True,

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from numevents import get_eps
 from numevents.cli import main
 from conftest import DATA_DIR, GOLDEN_DIR
 
@@ -186,3 +187,67 @@ class TestBudget:
     def test_ample_budget_passes(self, capsys):
         assert main(["--budget", "64", "classify", data("two_valued.csv")]) == 0
         capsys.readouterr()
+
+
+class TestToleranceScope:
+    def test_eps_flag_ends_with_main(self, capsys):
+        before = get_eps()
+        assert main(["--eps", "0.31", "bell", data("violated_n2.csv")]) == 0
+        assert get_eps() == before
+        capsys.readouterr()
+
+    def test_eps_flag_ends_with_main_on_error(self, capsys):
+        before = get_eps()
+        assert main(["--eps", "0.35", "classify", data("polarizer.csv")]) == 1
+        assert get_eps() == before
+        assert main(["--eps", "0.31", "classify", data("no_such_file.csv")]) == 1
+        assert get_eps() == before
+        capsys.readouterr()
+
+    def test_env_variable_ends_with_main(self, capsys, monkeypatch):
+        before = get_eps()
+        monkeypatch.setenv("NUMEVENT_EPS", "0.31")
+        assert main(["bell", data("violated_n2.csv")]) == 0
+        assert get_eps() == before
+        capsys.readouterr()
+
+
+class TestBudgetScope:
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_budget_below_one_is_rejected(self, value, capsys):
+        assert main(["--budget", value, "classify", data("two_valued.csv")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --budget must be at least 1, got {value}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["boolean", data("power_logic.json")],
+            ["bell", data("chsh3.csv")],
+            ["bell", data("chsh3.csv"), "--all-valuations"],
+            ["enumerate", "2"],
+        ],
+    )
+    def test_budget_is_rejected_outside_classify(self, argv, capsys):
+        assert main(["--budget", "64"] + argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --budget applies only to classify\n"
+
+    def test_help_says_what_the_budget_caps(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "closure size cap for classify" in " ".join(capsys.readouterr().out.split())
+
+
+def test_pairs_only_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bell", data("chsh3.csv"), "--pairs-only"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_boolean_checks_the_logic_once(kernel_frontiers, capsys):
+    assert main(["--format", "json", "boolean", data("power_logic.json")]) == 0
+    assert kernel_frontiers == [json.loads(capsys.readouterr().out)["logic_size"]]

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -112,6 +113,11 @@ class TestClosure:
         with pytest.raises(BudgetExceededError):
             gfe_closure(seeds, space(5), max_size=8)
 
+    def test_size_cap_covers_the_seeds(self):
+        # the seeds are already closed, so no round adds a member
+        with pytest.raises(BudgetExceededError):
+            gfe_closure(POWER3.events, SP3, max_size=4)
+
     def test_non_two_valued_seed_rejected(self):
         with pytest.raises(NotTwoValuedError):
             gfe_closure([Event((0.5, 0.0, 0.0), SP3)], SP3)
@@ -153,6 +159,79 @@ class TestAxiomChecks:
         assert not EVEN_LOGIC.contains(mask_event(0b0001, SP4))
         assert not EVEN_LOGIC.contains(Event((0.5, 0.0, 0.0, 0.0), SP4))
         assert not EVEN_LOGIC.contains(mask_event(0b001, SP3))
+
+
+def _mask_sets(seed, count, max_states):
+    """Closures of random seeds, some left whole, some broken on purpose."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        num_states = rng.randint(1, max_states)
+        full = (1 << num_states) - 1
+        seeds = rng.sample(range(full + 1), rng.randint(0, min(3, full + 1)))
+        masks = set(closure_oracle(seeds, num_states))
+        cut = rng.choice(sorted(masks))
+        action = rng.randrange(4)
+        if action == 1:
+            masks.discard(cut)
+        elif action == 2:
+            # dropping a complementary pair keeps A2, so A3 is what breaks
+            masks -= {cut, cut ^ full}
+        elif action == 3:
+            masks.add(rng.randrange(full + 1))
+        yield num_states, frozenset(masks)
+
+
+class TestKernelAgainstOracle:
+    def test_checker_constructor_and_oracle_agree(self):
+        seen = Counter()
+        for num_states, masks in _mask_sets(11, 400, 6):
+            sp = space(num_states)
+            defect = check_concrete_logic([mask_event(m, sp) for m in masks])
+            try:
+                ConcreteLogic(space=sp, masks=masks)
+                constructs = True
+            except ValueError:
+                constructs = False
+            closed = 0 in masks and closure_oracle(masks, num_states) == masks
+            assert (defect is None) == constructs == closed
+            seen[defect.axiom if defect else None] += 1
+        assert set(seen) == {None, "A1", "A2", "A3"}
+
+    def test_a3_offenders_are_the_smallest_pair(self):
+        checked = 0
+        for num_states, masks in _mask_sets(12, 400, 6):
+            sp = space(num_states)
+            defect = check_concrete_logic([mask_event(m, sp) for m in masks])
+            if defect is None or defect.axiom != "A3":
+                continue
+            smallest = min(
+                (a, b)
+                for a, b in itertools.combinations(sorted(masks), 2)
+                if a & b == 0 and a | b not in masks
+            )
+            assert tuple(event_mask(e) for e in defect.offenders) == smallest
+            checked += 1
+        assert checked >= 10
+
+    def test_closure_matches_the_oracle_up_to_8_states(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            num_states = rng.randint(1, 8)
+            full = (1 << num_states) - 1
+            seeds = rng.sample(range(full + 1), rng.randint(0, min(4, full + 1)))
+            sp = space(num_states)
+            logic = gfe_closure([mask_event(m, sp) for m in seeds], sp)
+            assert logic.masks == closure_oracle(seeds, num_states)
+
+    def test_closure_checks_each_member_once(self, kernel_frontiers):
+        logic = gfe_closure([mask_event(m, space(6)) for m in (3, 6, 12, 24)], space(6))
+        assert len(kernel_frontiers) > 1
+        # each member is paired as part of one frontier, and never again
+        assert sum(kernel_frontiers) == len(logic)
+
+    def test_constructor_checks_once(self, kernel_frontiers):
+        ConcreteLogic(space=EVEN_LOGIC.space, masks=EVEN_LOGIC.masks)
+        assert kernel_frontiers == [len(EVEN_LOGIC)]
 
 
 class TestCommuteWitness:
