@@ -84,6 +84,7 @@ from .correlations import (
     check_bell_like,
     evaluate_inequality,
     pair_schedule,
+    violated_01_valuations,
     witness_relations,
     witnesses_from_correlations,
 )

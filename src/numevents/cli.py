@@ -13,7 +13,7 @@ import os
 import sys
 from typing import Sequence
 
-from .correlations import check_bell_like, evaluate_inequality
+from .correlations import check_bell_like, violated_01_valuations
 from .dataio import (
     DataFormatError,
     read_correlations_csv,
@@ -156,20 +156,12 @@ def _cmd_bell(args: argparse.Namespace) -> int:
             + ", ".join(format_subset(m) for m in missing)
         )
     mode = "all-valuations" if args.all_valuations else "pairs"
-    rows = []
-    checked = 0
-    if mode == "pairs":
-        for result in check_bell_like(table):
-            checked += 1
-            rows.append(result)
+    if args.all_valuations:
+        rows = violated_01_valuations(table)
+        checked = count_01_valuations(table.n)
     else:
-        for packed, coeffs in enumerate(
-            enumerate_01_valuations(table.n), start=1
-        ):
-            checked += 1
-            result = evaluate_inequality(coeffs, table, label=f"g#{packed}")
-            if result.violated:
-                rows.append(result)
+        rows = check_bell_like(table)
+        checked = len(rows)
     violated = [r for r in rows if r.violated]
     verdict = "violated" if violated else "no obstruction found"
     report = {
@@ -285,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bell.add_argument(
         "--all-valuations",
         action="store_true",
-        help="every enumerated 0/1 valuation instead of the pair inequalities",
+        help="every 0/1 valuation instead of the pair inequalities",
     )
     p_bell.set_defaults(handler=_cmd_bell)
 

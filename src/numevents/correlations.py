@@ -11,6 +11,18 @@ n in {2, 3, 4}; every row has the shape p_I + p_J - p_(I u J) <= 1 and is
 generated by ``pair_inequality``. When no row is violated, the same
 (I, J) schedule yields commutation witnesses a = p_I - p_(I u J) whose
 defining chains a <= p_I <= a + p_J <= 1 are exactly the inequalities.
+
+``violated_01_valuations`` decides the full list of 2**(2**n - 1) - 1
+inequalities of the 0/1 valuations g (f = f_transform(g)) without listing
+them. Their sums are sums of atom masses: sum_I f(I) p_I equals the sum of
+q_J over the J with g(J) = 1, where q_J = sum over I containing J of
+(-1)**|I \\ J| p_I is the probability that exactly the events in J fire
+(Boole's conditions of possible experience, Pitowsky's correlation
+polytope). A state whose negative masses sum to no less than -eps and
+whose positive masses sum to no more than 1 + eps breaks none of them.
+Only at the other states are subset sums of q scanned, and only the
+valuations they flag are built and passed to ``evaluate_inequality``,
+which alone decides each reported row.
 """
 
 from __future__ import annotations
@@ -31,7 +43,9 @@ from .events import (
 )
 from .tolerance import get_eps
 from .valuations import (
+    ENUMERATION_CAP,
     SetFunction,
+    f_transform,
     format_subset,
     is_bell_valuation,
     mask_from_indices,
@@ -47,6 +61,7 @@ __all__ = [
     "InequalityResult",
     "evaluate_inequality",
     "check_bell_like",
+    "violated_01_valuations",
     "pair_schedule",
     "witness_relations",
     "witnesses_from_correlations",
@@ -150,10 +165,10 @@ def evaluate_inequality(
             "missing correlations: "
             + ", ".join(format_subset(m) for m in missing)
         )
-    values = []
-    for k in range(table.space.size):
-        values.append(sum(f.value(m) * table.entries[m].values[k] for m in support))
-    per_state = tuple(values)
+    terms = [(f.values[m - 1], table.entries[m].values) for m in support]
+    per_state = tuple(
+        sum([c * col[k] for c, col in terms]) for k in range(table.space.size)
+    )
     lo = min(per_state)
     hi = max(per_state)
     eps = get_eps()
@@ -212,6 +227,83 @@ def check_bell_like(table: CorrelationTable) -> tuple[InequalityResult, ...]:
             evaluate_inequality(coeffs, table, label=_row_label(i_mask, j_mask))
         )
     return tuple(results)
+
+
+# Slack that keeps the atom-mass filter from dropping a violated row. For
+# n <= 4 every p_I lies in [0, 1], so |q_J| <= 2**(n - |J|) and the 15 atom
+# masses have sum_J |q_J| <= 65, while a 0/1 valuation has sum_I |f(I)| <= 40.
+# A term passes through at most 4 Moebius steps and 15 additions in the
+# filter, and through 1 product and 14 additions in evaluate_inequality,
+# each rounding by at most 2**-53 of what it adds. So the filter's sum lies
+# within 20 * 2**-53 * 65 < 1.5e-13 of the exact sum, and the evaluated value
+# within 16 * 2**-53 * 40 < 1e-13. A valuation the filter keeps inside
+# [-eps + _MARGIN, 1 + eps - _MARGIN] therefore evaluates inside [-eps, 1 + eps].
+_MARGIN = 1e-12
+
+
+def _atom_masses(table: CorrelationTable) -> list[tuple[float, ...]]:
+    """q_J per state, in mask order J = 1 .. 2**n - 1, by one Moebius pass."""
+    top = 1 << table.n
+    cols = [()] + [table.event(m).values for m in range(1, top)]
+    for b in range(table.n):
+        bit = 1 << b
+        for mask in range(1, top):
+            if not mask & bit:
+                cols[mask] = [x - y for x, y in zip(cols[mask], cols[mask | bit])]
+    return list(zip(*cols[1:]))
+
+
+def _subset_sums(values: Sequence[float]) -> list[float]:
+    """Sum of the selected values per bit pattern, pattern 0 first."""
+    sums = [0.0]
+    for v in values:
+        sums += [s + v for s in sums]
+    return sums
+
+
+def violated_01_valuations(table: CorrelationTable) -> tuple[InequalityResult, ...]:
+    """Every violated 0/1-valuation inequality, labelled g#<packed>.
+
+    Rows come in increasing packed order, exactly as evaluating every
+    valuation of ``enumerate_01_valuations`` in turn would report them.
+    The atom masses rule out every state that satisfies the whole list
+    and, at the other states, every valuation whose sum stays in the
+    band; only the remaining candidates are built and decided by
+    ``evaluate_inequality``. Needs every correlation and n <= 4.
+    """
+    n = table.n
+    if n > ENUMERATION_CAP:
+        raise ValueError(
+            f"0/1 valuations are listed for n <= {ENUMERATION_CAP}, got n={n}"
+        )
+    eps = get_eps()
+    lo, hi = -eps + _MARGIN, 1.0 + eps - _MARGIN
+    atoms = (1 << n) - 1
+    low_bits = (atoms + 1) // 2
+    candidates: set[int] = set()
+    for masses in _atom_masses(table):
+        if (
+            sum(min(q, 0.0) for q in masses) >= lo
+            and sum(max(q, 0.0) for q in masses) <= hi
+        ):
+            continue
+        # packed g = (high pattern << low_bits) | low pattern
+        low = _subset_sums(masses[:low_bits])
+        high = _subset_sums(masses[low_bits:])
+        candidates.update(
+            (b << low_bits) | a
+            for b, h in enumerate(high)
+            for a, x in enumerate(low)
+            if not lo <= x + h <= hi
+        )
+    candidates.discard(0)
+    rows = []
+    for packed in sorted(candidates):
+        g = SetFunction(n, tuple(float((packed >> t) & 1) for t in range(atoms)))
+        result = evaluate_inequality(f_transform(g), table, label=f"g#{packed}")
+        if result.violated:
+            rows.append(result)
+    return tuple(rows)
 
 
 def witness_relations(n: int) -> tuple[tuple[str, int, int], ...]:

@@ -9,13 +9,16 @@ arbitrary two-valued seeds into concrete logics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .correlations import CorrelationTable
 from .events import Event, EventFamily, StateSpace
 from .logic import ConcreteLogic, gfe_closure
+
+# numpy is imported inside the functions that use it, so importing the
+# package (and every CLI call) does not load it
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BooleanMeasureAlgebra",
@@ -98,6 +101,8 @@ def gen_boolean_algebra(k: int, num_states: int, seed: int) -> BooleanMeasureAlg
         raise ValueError(f"atom count {k} outside 1..10")
     if num_states < 1:
         raise ValueError("need at least one state")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     raw = rng.random((num_states, k)) + 1e-3
     rows = raw / raw.sum(axis=1, keepdims=True)
@@ -129,6 +134,8 @@ def gen_hilbert_fixture(
         raise ValueError(
             f"num_projectors must lie in 1..{max_proper} for dim={dim}"
         )
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
     # distinct proper column subsets of one orthogonal basis give
@@ -156,6 +163,8 @@ def hilbert_events(
     Projectors must be symmetric and idempotent and state vectors unit
     length, all within 1e-9; the resulting values land in [0, 1].
     """
+    import numpy as np
+
     for a in fixture.projectors:
         if not np.allclose(a, a.T, atol=1e-9):
             raise ValueError("projector is not symmetric")

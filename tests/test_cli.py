@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import numevents
 from numevents import get_eps
 from numevents.cli import main
 from conftest import DATA_DIR, GOLDEN_DIR
@@ -251,3 +254,16 @@ def test_pairs_only_flag_is_gone(capsys):
 def test_boolean_checks_the_logic_once(kernel_frontiers, capsys):
     assert main(["--format", "json", "boolean", data("power_logic.json")]) == 0
     assert kernel_frontiers == [json.loads(capsys.readouterr().out)["logic_size"]]
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(numevents.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = "import sys, numevents.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n")
