@@ -10,7 +10,11 @@ One semi-naive kernel, ``_gaps``, finds every missing complement (A2)
 or disjoint union (A3). It decides the axioms for all three users:
 ``gfe_closure`` adds its gaps round by round, while ``ConcreteLogic``
 validation and ``check_concrete_logic`` report its first gap. A closure
-built by the kernel is not checked a second time.
+built by the kernel is not checked a second time. The kernel pairs each
+member only with the members disjoint from it: one bitset per state
+marks the sorted members lacking that state, and the AND of those over
+a member's states is its partner set. Partners are visited lowest
+first, so the gaps keep the order of a loop over all pairs.
 
 Two independent routes decide whether a family sits inside a Boolean
 subalgebra of a logic P:
@@ -26,6 +30,7 @@ subalgebra of a logic P:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator
 
@@ -180,16 +185,52 @@ def _gaps(
     pair of two frontier members is taken once, as a < b. With a sorted
     frontier the complements come first, then the pairs in lexicographic
     order, so with frontier = all members the first gap is the smallest.
+
+    Each frontier member a meets only its disjoint partners. Bit i of
+    ``outside[s]`` is set when the i-th sorted member lacks state s, so
+    ANDing ``outside[s]`` over the states of a leaves the members
+    disjoint from a; masking that with the members above a or outside
+    the frontier takes each pair once. The set bits are visited in
+    ascending order, which is the order of the sorted members, so the
+    gaps come out in the same sequence as from a loop over all pairs.
     """
     for m in frontier:
         if (m ^ full) not in masks:
             yield "A2", m ^ full, (m,)
     members = sorted(masks)
-    fresh = set(frontier)
+    span = 0
+    for m in members:
+        span |= m
+    # digit rows are written highest member first, so bit i is members[i]
+    outside = [
+        int("".join(["0" if m >> s & 1 else "1" for m in reversed(members)]), 2)
+        for s in range(span.bit_length())
+    ]
+    # one byte per member instead of a set of the frontier keeps peak memory down
+    top = len(members) - 1
+    row = bytearray(b"1") * len(members)
+    for m in frontier:
+        i = bisect_left(members, m)
+        if i <= top and members[i] == m:
+            row[top - i] = ord("0")
+    stale = int(row or b"0", 2)
+    every = (1 << len(members)) - 1
     for a in frontier:
-        for b in members:
-            if a & b == 0 and (a < b or b not in fresh) and (a | b) not in masks:
+        low = bisect_right(members, a)
+        partners = stale | (every >> low << low)
+        states = a & span
+        while states:
+            bit = states & -states
+            partners &= outside[bit.bit_length() - 1]
+            states ^= bit
+        # a linear scan of the binary digits, lowest member first
+        digits = bin(partners)[:1:-1]
+        i = digits.find("1")
+        while i >= 0:
+            b = members[i]
+            if (a | b) not in masks:
                 yield "A3", a | b, (a, b) if a < b else (b, a)
+            i = digits.find("1", i + 1)
 
 
 def _first_defect(masks: Container[int], full: int) -> tuple[str, tuple[int, ...]] | None:

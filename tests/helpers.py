@@ -33,6 +33,19 @@ def closure_oracle(seed_masks, num_states):
         members |= fresh
 
 
+def gaps_reference(masks, full, frontier):
+    """The closure kernel's gap finder written as a loop over all pairs."""
+    for m in frontier:
+        if (m ^ full) not in masks:
+            yield "A2", m ^ full, (m,)
+    members = sorted(masks)
+    fresh = set(frontier)
+    for a in frontier:
+        for b in members:
+            if a & b == 0 and (a < b or b not in fresh) and (a | b) not in masks:
+                yield "A3", a | b, (a, b) if a < b else (b, a)
+
+
 def random_logic(seed: int, num_states: int, num_seeds: int) -> ConcreteLogic:
     """Closure of a few random two-valued events, deterministic per seed."""
     rng = random.Random(seed)

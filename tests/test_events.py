@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +16,8 @@ from numevents import (
     approx_equal,
     complement,
     difference,
+    eps_scope,
+    get_eps,
     is_proper,
     is_two_valued,
     leq,
@@ -21,6 +25,7 @@ from numevents import (
     ortho_sum,
     orthogonal,
     pointwise_min,
+    set_eps,
     zero_event,
 )
 from helpers import GRID, space
@@ -244,3 +249,40 @@ class TestEventFamily:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             EventFamily(())
+
+
+class TestTolerance:
+    def test_each_thread_reads_only_its_own_scope(self):
+        set_eps(1e-6)
+        inside = threading.Barrier(2, timeout=10)
+        seen = {}
+
+        def worker(value):
+            before = get_eps()
+            with eps_scope(value):
+                # both threads hold their scope while either reads
+                inside.wait()
+                seen[value] = get_eps()
+                inside.wait()
+            seen[value, "restored"] = get_eps() == before
+
+        threads = [threading.Thread(target=worker, args=(v,)) for v in (0.01, 0.02)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {0.01: 0.01, 0.02: 0.02, (0.01, "restored"): True, (0.02, "restored"): True}
+        assert get_eps() == 1e-6
+
+    def test_scope_restores_after_an_error_and_rejects_bad_values(self):
+        set_eps(1e-6)
+        with pytest.raises(KeyError):
+            with eps_scope(0.25):
+                assert get_eps() == 0.25
+                raise KeyError("inside")
+        assert get_eps() == 1e-6
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 0.5\], got 0"):
+            with eps_scope(0):
+                pass
+        assert get_eps() == 1e-6

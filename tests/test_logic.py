@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -28,7 +29,8 @@ from numevents import (
     pointwise_min,
     zero_event,
 )
-from helpers import closure_oracle, nontrivial_masks, random_logic, space
+from helpers import closure_oracle, gaps_reference, nontrivial_masks, random_logic, space
+from numevents.logic import _gaps
 
 SP3 = space(3)
 SP4 = space(4)
@@ -233,6 +235,98 @@ class TestKernelAgainstOracle:
         ConcreteLogic(space=EVEN_LOGIC.space, masks=EVEN_LOGIC.masks)
         assert kernel_frontiers == [len(EVEN_LOGIC)]
 
+
+
+def _kernel_cases(seed, count):
+    """Member sets with 0, some closed and broken, each with a sorted frontier."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        num_states = rng.randint(1, 10)
+        full = (1 << num_states) - 1
+        if rng.random() < 0.5:
+            seeds = rng.sample(range(full + 1), rng.randint(0, min(4, full + 1)))
+            masks = set(closure_oracle(seeds, num_states))
+            # dropping members leaves missing complements and missing unions
+            for cut in rng.sample(sorted(masks), min(len(masks), rng.randint(0, 3))):
+                masks.discard(cut)
+        else:
+            masks = set(rng.sample(range(full + 1), min(full + 1, rng.randint(1, 60))))
+        masks.add(0)
+        members = sorted(masks)
+        if rng.random() < 0.4:
+            frontier = members
+        else:
+            frontier = sorted(rng.sample(members, rng.randint(0, len(members))))
+        if rng.random() < 0.1:
+            # frontier masks that are not members are paired all the same
+            frontier = sorted(set(frontier) | {rng.randrange(full + 1) for _ in range(3)})
+        yield masks, full, frontier
+
+
+class TestPartnerIndex:
+    def test_kernel_yields_what_the_all_pairs_loop_yields(self):
+        seen = Counter()
+        for masks, full, frontier in _kernel_cases(21, 3000):
+            gaps = list(_gaps(masks, full, frontier))
+            assert gaps == list(gaps_reference(masks, full, frontier))
+            seen.update(axiom for axiom, _missing, _offenders in gaps)
+            seen["whole frontier"] += frontier == sorted(masks)
+            seen["several gaps"] += len(gaps) > 1
+        assert min(seen.values()) >= 100, seen
+
+
+def _balanced(chain):
+    """Masks with as many even as odd chain positions."""
+    even = sum(1 << s for s in chain[0::2])
+    odd = sum(1 << s for s in chain[1::2])
+    return frozenset(
+        m
+        for m in range(1 << len(chain))
+        if bin(m & even).count("1") == bin(m & odd).count("1")
+    )
+
+
+class TestChainAtBenchmarkScale:
+    """The closure of a 14-state chain of adjacent pairs has 3432 members.
+
+    Each adjacent pair holds one even and one odd chain position, and
+    complements and disjoint unions keep the two counts equal, so the
+    closure is the set of balanced masks: C(14, 7) of them.
+    """
+
+    STATES = 14
+    CHAIN = random.Random(2024).sample(range(STATES), STATES)
+    FULL = (1 << STATES) - 1
+
+    def test_closure_is_the_balanced_masks(self):
+        sp = space(self.STATES)
+        pairs = [(1 << a) | (1 << b) for a, b in zip(self.CHAIN, self.CHAIN[1:])]
+        logic = gfe_closure([mask_event(m, sp) for m in pairs], sp)
+        balanced = _balanced(self.CHAIN)
+        assert len(balanced) == math.comb(self.STATES, self.STATES // 2) == 3432
+        assert logic.masks == balanced
+        assert len(ConcreteLogic(space=sp, masks=balanced)) == 3432
+
+    @pytest.mark.parametrize("removal", ["member", "complement pair", "one"])
+    def test_broken_chain_logic_reports_the_first_reference_gap(self, removal):
+        balanced = _balanced(self.CHAIN)
+        c = self.CHAIN
+        union = (1 << c[0]) | (1 << c[1]) | (1 << c[2]) | (1 << c[3])
+        cut = {
+            "member": {union},
+            # with its complement gone too, the union is missed only as a sum
+            "complement pair": {union, union ^ self.FULL},
+            "one": {self.FULL},
+        }[removal]
+        masks = balanced - cut
+        axiom, _missing, offenders = next(gaps_reference(masks, self.FULL, sorted(masks)))
+        assert axiom == ("A3" if removal == "complement pair" else "A2")
+        sp = space(self.STATES)
+        defect = check_concrete_logic([mask_event(m, sp) for m in sorted(masks)])
+        assert defect.axiom == axiom
+        assert tuple(event_mask(e) for e in defect.offenders) == offenders
+        with pytest.raises(ValueError, match=f"closure axiom {axiom} violated"):
+            ConcreteLogic(space=sp, masks=masks)
 
 class TestCommuteWitness:
     def test_power_set_pairs_follow_the_truth_table(self):
