@@ -3,6 +3,7 @@
 Exit codes: 0 for a positive verdict (embeddable, Boolean, no violated
 inequality), 2 for the corresponding negative verdict, 3 for an
 undecided classification and 1 for any input or configuration error.
+argparse also exits 2 on a command line it cannot parse.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .correlations import check_bell_like, violated_01_valuations
 from .dataio import (
@@ -34,6 +35,7 @@ from .valuations import (
     count_01_valuations,
     enumerate_01_valuations,
     format_subset,
+    mask_from_indices,
 )
 
 EXIT_OK = 0
@@ -54,6 +56,18 @@ def _fmt_values(event: Event) -> str:
     return "[" + ", ".join(repr(v) for v in event.values) + "]"
 
 
+def _add_witnesses(
+    report: dict, lines: list[str], witnesses: Collection[tuple[str, Event]]
+) -> None:
+    """Fill the JSON ``witnesses`` list and the ``witnesses:`` text block."""
+    report["witnesses"] = [
+        {"name": name, "values": list(event.values)} for name, event in witnesses
+    ]
+    if witnesses:
+        lines.append("witnesses:")
+        lines += [f"- {name} = {_fmt_values(event)}" for name, event in witnesses]
+
+
 def _emit(report: dict, text_lines: list[str], fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
@@ -71,10 +85,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "verdict": result.verdict,
         "container": str(result.container) if result.container else None,
         "reasons": list(result.reasons),
-        "witnesses": [
-            {"name": name, "values": list(event.values)}
-            for name, event in result.witnesses
-        ],
     }
     lines = [
         "events: " + ", ".join(names),
@@ -84,11 +94,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "reasons:",
     ]
     lines += [f"- {r}" for r in result.reasons]
-    if result.witnesses:
-        lines.append("witnesses:")
-        lines += [
-            f"- {name} = {_fmt_values(event)}" for name, event in result.witnesses
-        ]
+    _add_witnesses(report, lines, result.witnesses)
     _emit(report, lines, args.format)
     if result.verdict == EMBEDDABLE:
         return EXIT_OK
@@ -122,10 +128,6 @@ def _cmd_boolean(args: argparse.Namespace) -> int:
         "missing_minimum": list(verdict.missing_minimum)
         if verdict.missing_minimum
         else None,
-        "witnesses": [
-            {"name": name, "values": list(event.values)}
-            for name, event in (verdict.witnesses or {}).items()
-        ],
     }
     lines = [
         f"logic: {len(logic)} events over {space.size} states",
@@ -133,14 +135,9 @@ def _cmd_boolean(args: argparse.Namespace) -> int:
         f"verdict: {'Boolean' if verdict.boolean else 'not Boolean'}",
     ]
     if verdict.missing_minimum:
-        subset = "{" + ",".join(str(i) for i in verdict.missing_minimum) + "}"
-        lines.append(f"missing minimum: {subset}")
-    if verdict.witnesses:
-        lines.append("witnesses:")
-        lines += [
-            f"- {name} = {_fmt_values(event)}"
-            for name, event in verdict.witnesses.items()
-        ]
+        subset = mask_from_indices(verdict.missing_minimum, family.n)
+        lines.append(f"missing minimum: {format_subset(subset)}")
+    _add_witnesses(report, lines, (verdict.witnesses or {}).items())
     _emit(report, lines, args.format)
     return EXIT_OK if verdict.boolean else EXIT_NEGATIVE
 
@@ -308,10 +305,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             eps = float(os.environ[ENV_EPS])
         with eps_scope(get_eps() if eps is None else eps):
             return args.handler(args)
-    except (NumericalEventError, DataFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError) as exc:
+    except (NumericalEventError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .events import (
     Event,
@@ -47,15 +48,19 @@ class DataFormatError(NumericalEventError):
     """A file does not match its documented schema."""
 
 
-def _open_text(source, mode: str):
+@contextmanager
+def _opened(source, mode: str) -> Iterator[IO[str]]:
+    """A path opened as UTF-8 without newline translation and closed on
+    exit, or the caller's stream as given, left open."""
     if isinstance(source, (str, Path)):
-        return open(source, mode, newline="", encoding="utf-8"), True
-    return source, False
+        with open(source, mode, newline="", encoding="utf-8") as stream:
+            yield stream
+    else:
+        yield source
 
 
 def _read_rows(source, expected_header: tuple[str, ...]):
-    stream, owned = _open_text(source, "r")
-    try:
+    with _opened(source, "r") as stream:
         reader = csv.reader(stream)
         try:
             header = next(reader)
@@ -75,10 +80,9 @@ def _read_rows(source, expected_header: tuple[str, ...]):
                     f"columns, got {len(row)}"
                 )
             rows.append((reader.line_num, tuple(cell.strip() for cell in row)))
-        return rows
-    finally:
-        if owned:
-            stream.close()
+    if not rows:
+        raise DataFormatError("no data rows")
+    return rows
 
 
 def _parse_value(text: str, line_num: int) -> float:
@@ -96,8 +100,6 @@ def read_events_csv(source) -> tuple[EventFamily, tuple[str, ...]]:
     State and event order follow first appearance in the file.
     """
     rows = _read_rows(source, ("state", "event", "value"))
-    if not rows:
-        raise DataFormatError("no data rows")
     states: list[str] = []
     names: list[str] = []
     cells: dict[tuple[str, str], float] = {}
@@ -135,16 +137,12 @@ def write_events_csv(
     items = list(events)
     if len(items) != len(names):
         raise ValueError("one name per event required")
-    stream, owned = _open_text(target, "w")
-    try:
+    with _opened(target, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(("state", "event", "value"))
         for event, name in zip(items, names):
             for label, value in zip(event.space.labels, event.values):
                 writer.writerow((label, name, repr(value)))
-    finally:
-        if owned:
-            stream.close()
 
 
 def _parse_subset(text: str, line_num: int) -> tuple[int, ...]:
@@ -178,8 +176,6 @@ def read_correlations_csv(source) -> CorrelationTable:
     present. Sparse higher-order entries are allowed.
     """
     rows = _read_rows(source, ("state", "subset", "value"))
-    if not rows:
-        raise DataFormatError("no data rows")
     states: list[str] = []
     parsed: list[tuple[int, str, tuple[int, ...], float]] = []
     n = 0
@@ -222,17 +218,13 @@ def read_correlations_csv(source) -> CorrelationTable:
 
 
 def write_correlations_csv(table: CorrelationTable, target) -> None:
-    stream, owned = _open_text(target, "w")
-    try:
+    with _opened(target, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(("state", "subset", "value"))
         for mask in sorted(table.entries):
             event = table.entries[mask]
             for label, value in zip(table.space.labels, event.values):
                 writer.writerow((label, format_subset(mask), repr(value)))
-    finally:
-        if owned:
-            stream.close()
 
 
 def read_logic_json(source) -> tuple[StateSpace, tuple[Event, ...], tuple[int, ...]]:
@@ -241,15 +233,11 @@ def read_logic_json(source) -> tuple[StateSpace, tuple[Event, ...], tuple[int, .
     Returns the state space, the declared member events (not yet checked
     against the closure axioms) and the 0-based family indices.
     """
-    stream, owned = _open_text(source, "r")
-    try:
+    with _opened(source, "r") as stream:
         try:
             data = json.load(stream)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"invalid JSON: {exc}") from exc
-    finally:
-        if owned:
-            stream.close()
     if not isinstance(data, dict):
         raise DataFormatError("top level must be an object")
     for key in ("states", "logic", "family"):
@@ -300,10 +288,8 @@ def write_logic_json(
         "family": list(family),
     }
     text = json.dumps(payload, indent=2) + "\n"
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text, encoding="utf-8")
-    else:
-        target.write(text)
+    with _opened(target, "w") as stream:
+        stream.write(text)
 
 
 def events_csv_text(events: Iterable[Event], names: Sequence[str]) -> str:

@@ -30,7 +30,7 @@ subalgebra of a logic P:
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator
 
@@ -206,14 +206,10 @@ def _gaps(
         int("".join(["0" if m >> s & 1 else "1" for m in reversed(members)]), 2)
         for s in range(span.bit_length())
     ]
-    # one byte per member instead of a set of the frontier keeps peak memory down
-    top = len(members) - 1
-    row = bytearray(b"1") * len(members)
-    for m in frontier:
-        i = bisect_left(members, m)
-        if i <= top and members[i] == m:
-            row[top - i] = ord("0")
-    stale = int(row or b"0", 2)
+    fresh = set(frontier)
+    stale = int(
+        "".join(["0" if m in fresh else "1" for m in reversed(members)]) or "0", 2
+    )
     every = (1 << len(members)) - 1
     for a in frontier:
         low = bisect_right(members, a)

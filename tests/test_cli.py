@@ -267,3 +267,71 @@ def test_cli_import_leaves_numpy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert (done.returncode, done.stdout) == (0, "False\n")
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _bell_table(num_events):
+    rows = [f"s1,{{{i}}},0.5" for i in range(1, num_events + 1)]
+    return "state,subset,value\n" + "\n".join(rows) + "\n"
+
+
+class TestErrorMessages:
+    """Exact stderr and exit code 1 for input errors of each kind."""
+
+    def run_error(self, argv, capsys):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        return err
+
+    def test_enumerate_zero(self, capsys):
+        err = self.run_error(["enumerate", "0"], capsys)
+        assert err == "error: n must be positive, got 0\n"
+
+    def test_boolean_with_an_empty_family(self, tmp_path, capsys):
+        logic = {"states": ["s1", "s2"], "logic": [[0, 0], [1, 1]], "family": []}
+        path = _write(tmp_path / "logic.json", json.dumps(logic))
+        err = self.run_error(["boolean", path], capsys)
+        assert err == "error: 'family' must select at least one logic member\n"
+
+    @pytest.mark.parametrize("num_events", [1, 5])
+    def test_bell_outside_two_to_four(self, num_events, tmp_path, capsys):
+        path = _write(tmp_path / "table.csv", _bell_table(num_events))
+        err = self.run_error(["bell", path], capsys)
+        assert err == f"error: n outside {{2,3,4}}: {num_events}\n"
+
+    def test_unparsable_logic_json(self, tmp_path, capsys):
+        path = _write(tmp_path / "logic.json", '{"states": [')
+        err = self.run_error(["boolean", path], capsys)
+        assert err == (
+            "error: invalid JSON: Expecting value: line 1 column 13 (char 12)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["classify", "boolean", "bell"])
+    def test_missing_input_file(self, command, tmp_path, capsys):
+        path = str(tmp_path / "absent")
+        err = self.run_error([command, path], capsys)
+        assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+
+
+def test_module_entry_point_exits_with_the_error_code():
+    src = os.path.dirname(os.path.dirname(numevents.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "numevents.cli", "enumerate", "0"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1,
+        "",
+        "error: n must be positive, got 0\n",
+    )

@@ -9,6 +9,7 @@ from numevents import (
     DataFormatError,
     Event,
     correlations_csv_text,
+    dataio,
     events_csv_text,
     read_correlations_csv,
     read_events_csv,
@@ -128,6 +129,10 @@ class TestCorrelationsCsv:
         table = read_correlations_csv(buffer)
         assert table.missing_masks() == (3,)
 
+    def test_header_only_rejected(self):
+        with pytest.raises(DataFormatError, match="no data rows"):
+            read_correlations_csv(io.StringIO("state,subset,value\n"))
+
     def test_unsorted_subset_rejected(self):
         buffer = io.StringIO("state,subset,value\ns1,{1},0.5\ns1,{2,1},0.4\n")
         with pytest.raises(DataFormatError):
@@ -220,3 +225,80 @@ class TestLogicJson:
         payload = {"states": ["s1"], "logic": [[0], [1], [0.5]], "family": [0]}
         sp, events, family = read_logic_json(io.StringIO(json.dumps(payload)))
         assert events[2].values == (0.5,)
+
+
+def _events_case():
+    family, names = read_events_csv(data("polarizer.csv"))
+    return (
+        lambda target: write_events_csv(family.events, names, target),
+        read_events_csv,
+        ([e.values for e in family], names),
+        lambda back: ([e.values for e in back[0]], back[1]),
+    )
+
+
+def _correlations_case():
+    table = read_correlations_csv(data("chsh3.csv"))
+    return (
+        lambda target: write_correlations_csv(table, target),
+        read_correlations_csv,
+        (table.n, {m: e.values for m, e in table.entries.items()}),
+        lambda back: (back.n, {m: e.values for m, e in back.entries.items()}),
+    )
+
+
+def _logic_case():
+    sp, events, family = read_logic_json(data("power_logic.json"))
+    return (
+        lambda target: write_logic_json(sp, events, family, target),
+        read_logic_json,
+        (sp.labels, [e.values for e in events], family),
+        lambda back: (back[0].labels, [e.values for e in back[1]], back[2]),
+    )
+
+
+WRITER_CASES = {
+    "events": _events_case,
+    "correlations": _correlations_case,
+    "logic": _logic_case,
+}
+
+
+@pytest.fixture
+def opened_files(monkeypatch):
+    """Every file ``numevents.dataio`` opens during the test."""
+    files = []
+
+    def tracking_open(*args, **kwargs):
+        files.append(open(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(dataio, "open", tracking_open, raising=False)
+    return files
+
+
+class TestWritingThroughAPath:
+    @pytest.mark.parametrize("as_text", [False, True], ids=["Path", "str"])
+    @pytest.mark.parametrize("case", sorted(WRITER_CASES))
+    def test_file_matches_the_stream_and_reads_back(
+        self, case, as_text, tmp_path, opened_files
+    ):
+        write, read, expected, view = WRITER_CASES[case]()
+        buffer = io.StringIO()
+        write(buffer)
+        path = tmp_path / f"{case}.out"
+        target = str(path) if as_text else path
+        write(target)
+        assert path.read_bytes() == buffer.getvalue().encode("utf-8")
+        assert view(read(target)) == expected
+        assert opened_files and all(fh.closed for fh in opened_files)
+
+    @pytest.mark.parametrize("case", sorted(WRITER_CASES))
+    def test_a_callers_stream_stays_open(self, case):
+        write, read, expected, view = WRITER_CASES[case]()
+        buffer = io.StringIO()
+        write(buffer)
+        assert not buffer.closed
+        buffer.seek(0)
+        assert view(read(buffer)) == expected
+        assert not buffer.closed
