@@ -47,7 +47,6 @@ from .valuations import (
     SetFunction,
     f_transform,
     format_subset,
-    is_bell_valuation,
     mask_from_indices,
     pair_inequality,
     subset_labels,
@@ -158,14 +157,7 @@ def evaluate_inequality(
     """Evaluate sum_I f(I) p_I(s) per state and flag exits from [0, 1]."""
     if f.n != table.n:
         raise ValueError(f"coefficients use n={f.n}, table uses n={table.n}")
-    support = f.support()
-    missing = [m for m in support if m not in table.entries]
-    if missing:
-        raise MissingCorrelationError(
-            "missing correlations: "
-            + ", ".join(format_subset(m) for m in missing)
-        )
-    terms = [(f.values[m - 1], table.entries[m].values) for m in support]
+    terms = [(f.values[m - 1], table.event(m).values) for m in f.support()]
     per_state = tuple(
         sum([c * col[k] for c, col in terms]) for k in range(table.space.size)
     )
@@ -216,25 +208,20 @@ def _row_label(i_mask: int, j_mask: int) -> str:
 
 def check_bell_like(table: CorrelationTable) -> tuple[InequalityResult, ...]:
     """Evaluate the full displayed inequality list for table.n in {2, 3, 4}."""
-    results = []
-    for i_mask, j_mask in pair_schedule(table.n):
-        coeffs = pair_inequality(i_mask, j_mask, table.n)
-        if not is_bell_valuation(coeffs):
-            raise RuntimeError(
-                f"internal error: row {_row_label(i_mask, j_mask)} is not a valuation"
-            )
-        results.append(
-            evaluate_inequality(coeffs, table, label=_row_label(i_mask, j_mask))
-        )
-    return tuple(results)
+    n = table.n
+    return tuple(
+        evaluate_inequality(pair_inequality(i, j, n), table, label=_row_label(i, j))
+        for i, j in pair_schedule(n)
+    )
 
 
 # Slack that keeps the atom-mass filter from dropping a violated row. For
 # n <= 4 every p_I lies in [0, 1], so |q_J| <= 2**(n - |J|) and the 15 atom
 # masses have sum_J |q_J| <= 65, while a 0/1 valuation has sum_I |f(I)| <= 40.
-# A term passes through at most 4 Moebius steps and 15 additions in the
-# filter, and through 1 product and 14 additions in evaluate_inequality,
-# each rounding by at most 2**-53 of what it adds. So the filter's sum lies
+# A term passes through at most 4 Moebius steps and, in the one subset-sum
+# table of a flagged state, at most 15 additions (one per selected mass);
+# in evaluate_inequality, through 1 product and 14 additions. Each step
+# rounds by at most 2**-53 of what it adds. So the filter's sum lies
 # within 20 * 2**-53 * 65 < 1.5e-13 of the exact sum, and the evaluated value
 # within 16 * 2**-53 * 40 < 1e-13. A valuation the filter keeps inside
 # [-eps + _MARGIN, 1 + eps - _MARGIN] therefore evaluates inside [-eps, 1 + eps].
@@ -279,7 +266,6 @@ def violated_01_valuations(table: CorrelationTable) -> tuple[InequalityResult, .
     eps = get_eps()
     lo, hi = -eps + _MARGIN, 1.0 + eps - _MARGIN
     atoms = (1 << n) - 1
-    low_bits = (atoms + 1) // 2
     candidates: set[int] = set()
     for masses in _atom_masses(table):
         if (
@@ -287,14 +273,10 @@ def violated_01_valuations(table: CorrelationTable) -> tuple[InequalityResult, .
             and sum(max(q, 0.0) for q in masses) <= hi
         ):
             continue
-        # packed g = (high pattern << low_bits) | low pattern
-        low = _subset_sums(masses[:low_bits])
-        high = _subset_sums(masses[low_bits:])
         candidates.update(
-            (b << low_bits) | a
-            for b, h in enumerate(high)
-            for a, x in enumerate(low)
-            if not lo <= x + h <= hi
+            packed
+            for packed, x in enumerate(_subset_sums(masses))
+            if not lo <= x <= hi
         )
     candidates.discard(0)
     rows = []

@@ -6,8 +6,9 @@ Three file shapes exist:
   pair; the long form tolerates any row order but the matrix must be
   complete.
 * correlation CSV with header ``state,subset,value`` where subset names
-  a non-empty index set such as ``{1,3}`` (a compact ``{13}`` spelling
-  is accepted on input).
+  a non-empty index set such as ``{1,3}``. Comma-free subsets are read
+  as compact digits (``{13}`` is {1,3}) when all of them in the file are
+  distinct ascending digits 1-9, else as one index (``{13}`` is {13}).
 * concrete-logic JSON ``{"states": [...], "logic": [[0,1,...], ...],
   "family": [indices]}`` with 0-based indices into the logic list.
 
@@ -145,18 +146,24 @@ def write_events_csv(
                 writer.writerow((label, name, repr(value)))
 
 
-def _parse_subset(text: str, line_num: int) -> tuple[int, ...]:
+def _is_compact(text: str) -> bool:
+    """True if the text inside the braces is distinct ascending digits 1-9."""
+    inner = text.strip()[1:-1]
+    return set(inner) <= set("123456789") and inner == "".join(sorted(set(inner)))
+
+
+def _parse_subset(text: str, line_num: int, compact: bool) -> tuple[int, ...]:
     body = text.strip()
     if not (body.startswith("{") and body.endswith("}")) or len(body) < 3:
         raise DataFormatError(
             f"line {line_num}, column 'subset': expected '{{1,3}}' form, got {text!r}"
         )
     inner = body[1:-1]
-    parts = inner.split(",") if "," in inner else list(inner)
+    parts = list(inner) if compact and "," not in inner else inner.split(",")
     indices = []
     for part in parts:
         part = part.strip()
-        if not part.isdigit() or int(part) < 1:
+        if not (part.isascii() and part.isdigit()) or int(part) < 1:
             raise DataFormatError(
                 f"line {line_num}, column 'subset': bad index {part!r} in {text!r}"
             )
@@ -176,11 +183,14 @@ def read_correlations_csv(source) -> CorrelationTable:
     present. Sparse higher-order entries are allowed.
     """
     rows = _read_rows(source, ("state", "subset", "value"))
+    # A table with n >= 10 holds {10}, which no compact spelling can be,
+    # so comma-free subsets are compact only if every one of them is.
+    compact = all(_is_compact(text) for _, (_, text, _) in rows if "," not in text)
     states: list[str] = []
     parsed: list[tuple[int, str, tuple[int, ...], float]] = []
     n = 0
     for line_num, (state, subset_text, raw) in rows:
-        indices = _parse_subset(subset_text, line_num)
+        indices = _parse_subset(subset_text, line_num, compact)
         value = _parse_value(raw, line_num)
         if state not in states:
             states.append(state)

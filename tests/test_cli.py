@@ -304,6 +304,19 @@ class TestErrorMessages:
         err = self.run_error(["bell", path], capsys)
         assert err == f"error: n outside {{2,3,4}}: {num_events}\n"
 
+    def test_bell_on_the_missing_subset_file(self, capsys):
+        err = self.run_error(["bell", data("missing_subset.csv")], capsys)
+        assert err == "error: missing correlations: {1,2}\n"
+
+    @pytest.mark.parametrize("all_valuations", [False, True])
+    def test_bell_lists_the_missing_correlations_in_order(
+        self, all_valuations, tmp_path, capsys
+    ):
+        path = _write(tmp_path / "table.csv", _bell_table(3))
+        argv = ["bell", path] + (["--all-valuations"] if all_valuations else [])
+        err = self.run_error(argv, capsys)
+        assert err == "error: missing correlations: {1,2}, {1,3}, {2,3}, {1,2,3}\n"
+
     def test_unparsable_logic_json(self, tmp_path, capsys):
         path = _write(tmp_path / "logic.json", '{"states": [')
         err = self.run_error(["boolean", path], capsys)

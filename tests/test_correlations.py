@@ -122,6 +122,13 @@ class TestEvaluate:
             evaluate_inequality(pair_inequality(1, 2, 2), sparse)
         assert "{1,2}" in str(err.value)
 
+    def test_the_lowest_missing_correlation_is_named(self):
+        sparse = table(SP1, 3, {1: (0.5,), 2: (0.5,), 4: (0.5,)})
+        # p_12 + p_13 - p_123 references {1,2}, {1,3} and {1,2,3}, none held
+        with pytest.raises(MissingCorrelationError) as err:
+            evaluate_inequality(pair_inequality(0b011, 0b101, 3), sparse)
+        assert str(err.value) == "missing correlation {1,2}"
+
     def test_n_mismatch_rejected(self):
         with pytest.raises(ValueError):
             evaluate_inequality(sum_all_elementary(3), PAIR2)

@@ -3,6 +3,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numevents import (
     CorrelationTable,
@@ -20,6 +22,8 @@ from numevents import (
 )
 from conftest import DATA_DIR
 from helpers import space
+
+SUBSET_HEADER = "state,subset,value\n"
 
 
 def data(name):
@@ -133,13 +137,72 @@ class TestCorrelationsCsv:
         with pytest.raises(DataFormatError, match="no data rows"):
             read_correlations_csv(io.StringIO("state,subset,value\n"))
 
+    def test_duplicate_subset_and_state_rejected(self):
+        text = SUBSET_HEADER + 's1,{1},0.5\ns1,{2},0.5\ns1,"{1}",0.4\n'
+        with pytest.raises(DataFormatError) as err:
+            read_correlations_csv(io.StringIO(text))
+        assert str(err.value) == "line 4: duplicate row for subset {1}, state 's1'"
+
+    def test_out_of_range_value_names_its_subset(self):
+        text = SUBSET_HEADER + 's1,{1},0.5\ns1,{2},0.5\ns1,"{1,2}",-0.5\n'
+        with pytest.raises(DataFormatError) as err:
+            read_correlations_csv(io.StringIO(text))
+        assert str(err.value) == (
+            "subset {1,2}: value -0.5 at state s1 outside [0, 1]"
+        )
+
+    def test_comma_free_subsets_are_single_indices_beyond_nine(self):
+        rows = [f"s1,{{{i}}},0.5" for i in range(1, 13)] + ['s1,"{1,2}",0.25']
+        table = read_correlations_csv(io.StringIO(SUBSET_HEADER + "\n".join(rows)))
+        assert table.n == 12
+        assert table.event(1 << 11).values == (0.5,)
+        assert table.event(0b11).values == (0.25,)
+        assert table.missing_masks()[:2] == (0b101, 0b110)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    @settings(max_examples=10)
+    @given(picks=st.data())
+    def test_sparse_tables_read_back_for_every_n(self, n, picks):
+        num_states = picks.draw(st.integers(1, 2), label="states")
+        sp = space(num_states)
+        base = picks.draw(
+            st.lists(
+                st.tuples(*[st.floats(0.0, 1.0)] * num_states),
+                min_size=n,
+                max_size=n,
+            ),
+            label="singletons",
+        )
+        joints = picks.draw(
+            st.sets(st.integers(1, (1 << n) - 1), max_size=8), label="joints"
+        )
+        masks = joints | {1 << i for i in range(n)}
+        # p_I = min over i in I of p_i keeps every joint below its marginals
+        entries = {
+            mask: Event(
+                tuple(
+                    min(base[i][k] for i in range(n) if mask >> i & 1)
+                    for k in range(num_states)
+                ),
+                sp,
+            )
+            for mask in masks
+        }
+        table = CorrelationTable.build(sp, n, entries)
+        back = read_correlations_csv(io.StringIO(correlations_csv_text(table)))
+        assert back.n == n
+        assert back.space.labels == sp.labels
+        assert {m: e.values for m, e in back.entries.items()} == {
+            m: e.values for m, e in entries.items()
+        }
+
     def test_unsorted_subset_rejected(self):
         buffer = io.StringIO("state,subset,value\ns1,{1},0.5\ns1,{2,1},0.4\n")
         with pytest.raises(DataFormatError):
             read_correlations_csv(buffer)
 
     def test_malformed_subset_rejected(self):
-        for cell in ("{}", "1,2", "{1,}", "{a}"):
+        for cell in ("{}", "1,2", "{1,}", "{a}", "{\u00b2}"):
             buffer = io.StringIO(
                 "state,subset,value\ns1,{1},0.5\n" + f's1,"{cell}",0.4\n'
             )
@@ -218,6 +281,55 @@ class TestLogicJson:
         payload = {"states": ["s1"], "logic": [[0]]}
         with pytest.raises(DataFormatError):
             read_logic_json(io.StringIO(json.dumps(payload)))
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([["s1"]], "top level must be an object"),
+            (
+                {"states": [], "logic": [[0]], "family": [0]},
+                "'states' must be a non-empty list of strings",
+            ),
+            (
+                {"states": ["s1", 2], "logic": [[0, 0]], "family": [0]},
+                "'states' must be a non-empty list of strings",
+            ),
+            (
+                {"states": ["s1"], "logic": [], "family": [0]},
+                "'logic' must be a non-empty list of value rows",
+            ),
+            (
+                {"states": ["s1"], "logic": {"0": [0]}, "family": [0]},
+                "'logic' must be a non-empty list of value rows",
+            ),
+            (
+                {"states": ["s1"], "logic": [[0], [1.5]], "family": [0]},
+                "logic row 1: value 1.5 at state s1 outside [0, 1]",
+            ),
+            (
+                {"states": ["s1"], "logic": [[0], [1]], "family": [1.0]},
+                "'family' must be a list of integers",
+            ),
+            (
+                {"states": ["s1"], "logic": [[0], [1]], "family": [True]},
+                "'family' must be a list of integers",
+            ),
+        ],
+        ids=[
+            "top-level-list",
+            "no-states",
+            "non-string-state",
+            "no-logic",
+            "logic-object",
+            "member-value-out-of-range",
+            "float-family",
+            "bool-family",
+        ],
+    )
+    def test_malformed_payload_rejected(self, payload, message):
+        with pytest.raises(DataFormatError) as err:
+            read_logic_json(io.StringIO(json.dumps(payload)))
+        assert str(err.value) == message
 
     def test_fractional_members_are_readable(self):
         # axiom checking happens later; the file format itself allows any
