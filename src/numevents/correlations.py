@@ -21,14 +21,20 @@ q_J over the J with g(J) = 1, where q_J = sum over I containing J of
 polytope). A state whose negative masses sum to no less than -eps and
 whose positive masses sum to no more than 1 + eps breaks none of them.
 Only at the other states are subset sums of q scanned, and only the
-valuations they flag are built and passed to ``evaluate_inequality``,
-which alone decides each reported row.
+valuations they flag are built (by ``valuations.valuation_01``) and
+evaluated, which alone decides each reported row.
+
+Every row, of either list or of ``evaluate_inequality``, is evaluated by
+the one batch evaluator ``_evaluate_rows``: rows that share a leading
+run of coefficients share its per-state partial sums, and each value is
+still the same products added in the same order as a row on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -45,11 +51,11 @@ from .tolerance import get_eps
 from .valuations import (
     ENUMERATION_CAP,
     SetFunction,
-    f_transform,
     format_subset,
     mask_from_indices,
     pair_inequality,
     subset_labels,
+    valuation_01,
 )
 
 __all__ = [
@@ -155,29 +161,80 @@ def evaluate_inequality(
     f: SetFunction, table: CorrelationTable, label: str | None = None
 ) -> InequalityResult:
     """Evaluate sum_I f(I) p_I(s) per state and flag exits from [0, 1]."""
-    if f.n != table.n:
-        raise ValueError(f"coefficients use n={f.n}, table uses n={table.n}")
-    terms = [(f.values[m - 1], table.event(m).values) for m in f.support()]
-    per_state = tuple(
-        sum([c * col[k] for c, col in terms]) for k in range(table.space.size)
-    )
-    lo = min(per_state)
-    hi = max(per_state)
+    return _evaluate_rows(
+        (f,), table, (label if label is not None else "valuation",)
+    )[0]
+
+
+def _evaluate_rows(
+    fs: Sequence[SetFunction], table: CorrelationTable, labels: Sequence[str]
+) -> list[InequalityResult]:
+    """evaluate_inequality for every row, in input order, in one pass.
+
+    Each row's value at a state is 0 plus f(I) * p_I(s) for its non-zero
+    f(I) in increasing mask order, added left to right. Rows are visited
+    in coefficient order and keep a stack of per-state partial sums, one
+    per mask position, so a row recomputes only the positions from the
+    first coefficient where it differs from the row before it. The sums
+    are the same products added in the same order, bit for bit; a row
+    with no non-zero coefficient is the integer 0 at every state.
+    """
+    n = table.n
+    top = (1 << n) - 1
+    columns: dict[int, tuple[float, ...]] = {}
+    # errors come out as evaluating the rows one by one in input order would raise them
+    for f in fs:
+        if f.n != n:
+            raise ValueError(f"coefficients use n={f.n}, table uses n={n}")
+        if len(columns) < top:
+            for m in f.support():
+                if m not in columns:
+                    columns[m] = table.event(m).values
+    size = table.space.size
     eps = get_eps()
-    violating_state = None
-    for k, v in enumerate(per_state):
-        if v < -eps or v > 1.0 + eps:
-            violating_state = table.space.labels[k]
-            break
-    return InequalityResult(
-        label=label if label is not None else "valuation",
-        coefficients=f,
-        per_state=per_state,
-        min_value=lo,
-        max_value=hi,
-        violated=violating_state is not None,
-        violating_state=violating_state,
-    )
+    products: dict[tuple[int, float], tuple[float, ...]] = {}
+    # stack[i] is the current row's partial sum over the first i mask positions
+    stack = [(0.0,) * size] * (top + 1)
+    previous: tuple[float, ...] = ()
+    results: list[InequalityResult | None] = [None] * len(fs)
+    for row in sorted(range(len(fs)), key=lambda r: fs[r].values):
+        f = fs[row]
+        values = f.values
+        start = 0
+        for c, d in zip(values, previous):
+            if c != d:
+                break
+            start += 1
+        for i in range(start, len(values)):
+            c = values[i]
+            if c == 0.0:
+                stack[i + 1] = stack[i]
+                continue
+            prod = products.get((i, c))
+            if prod is None:
+                prod = products[i, c] = tuple([c * x for x in columns[i + 1]])
+            stack[i + 1] = tuple(map(add, stack[i], prod))
+        previous = values
+        per_state = stack[-1] if any(values) else (0,) * size
+        lo = min(per_state)
+        hi = max(per_state)
+        violating_state = None
+        # a row inside the band has no state to name; a NaN min is scanned too
+        if not (-eps <= lo and hi <= 1.0 + eps):
+            for k, v in enumerate(per_state):
+                if v < -eps or v > 1.0 + eps:
+                    violating_state = table.space.labels[k]
+                    break
+        results[row] = InequalityResult(
+            label=labels[row],
+            coefficients=f,
+            per_state=per_state,
+            min_value=lo,
+            max_value=hi,
+            violated=violating_state is not None,
+            violating_state=violating_state,
+        )
+    return results
 
 
 def pair_schedule(n: int) -> tuple[tuple[int, int], ...]:
@@ -209,9 +266,13 @@ def _row_label(i_mask: int, j_mask: int) -> str:
 def check_bell_like(table: CorrelationTable) -> tuple[InequalityResult, ...]:
     """Evaluate the full displayed inequality list for table.n in {2, 3, 4}."""
     n = table.n
+    schedule = pair_schedule(n)
     return tuple(
-        evaluate_inequality(pair_inequality(i, j, n), table, label=_row_label(i, j))
-        for i, j in pair_schedule(n)
+        _evaluate_rows(
+            [pair_inequality(i, j, n) for i, j in schedule],
+            table,
+            [_row_label(i, j) for i, j in schedule],
+        )
     )
 
 
@@ -220,11 +281,13 @@ def check_bell_like(table: CorrelationTable) -> tuple[InequalityResult, ...]:
 # masses have sum_J |q_J| <= 65, while a 0/1 valuation has sum_I |f(I)| <= 40.
 # A term passes through at most 4 Moebius steps and, in the one subset-sum
 # table of a flagged state, at most 15 additions (one per selected mass);
-# in evaluate_inequality, through 1 product and 14 additions. Each step
-# rounds by at most 2**-53 of what it adds. So the filter's sum lies
-# within 20 * 2**-53 * 65 < 1.5e-13 of the exact sum, and the evaluated value
-# within 16 * 2**-53 * 40 < 1e-13. A valuation the filter keeps inside
-# [-eps + _MARGIN, 1 + eps - _MARGIN] therefore evaluates inside [-eps, 1 + eps].
+# in _evaluate_rows, through 1 product and 14 additions, because a row that
+# takes over another row's partial sums takes over the same products added
+# in the same order. Each step rounds by at most 2**-53 of what it adds. So
+# the filter's sum lies within 20 * 2**-53 * 65 < 1.5e-13 of the exact sum,
+# and the evaluated value within 16 * 2**-53 * 40 < 1e-13. A valuation the
+# filter keeps inside [-eps + _MARGIN, 1 + eps - _MARGIN] therefore
+# evaluates inside [-eps, 1 + eps].
 _MARGIN = 1e-12
 
 
@@ -255,8 +318,8 @@ def violated_01_valuations(table: CorrelationTable) -> tuple[InequalityResult, .
     valuation of ``enumerate_01_valuations`` in turn would report them.
     The atom masses rule out every state that satisfies the whole list
     and, at the other states, every valuation whose sum stays in the
-    band; only the remaining candidates are built and decided by
-    ``evaluate_inequality``. Needs every correlation and n <= 4.
+    band; only the remaining candidates are built and decided, all in
+    one ``_evaluate_rows`` pass. Needs every correlation and n <= 4.
     """
     n = table.n
     if n > ENUMERATION_CAP:
@@ -265,7 +328,6 @@ def violated_01_valuations(table: CorrelationTable) -> tuple[InequalityResult, .
         )
     eps = get_eps()
     lo, hi = -eps + _MARGIN, 1.0 + eps - _MARGIN
-    atoms = (1 << n) - 1
     candidates: set[int] = set()
     for masses in _atom_masses(table):
         if (
@@ -279,13 +341,13 @@ def violated_01_valuations(table: CorrelationTable) -> tuple[InequalityResult, .
             if not lo <= x <= hi
         )
     candidates.discard(0)
-    rows = []
-    for packed in sorted(candidates):
-        g = SetFunction(n, tuple(float((packed >> t) & 1) for t in range(atoms)))
-        result = evaluate_inequality(f_transform(g), table, label=f"g#{packed}")
-        if result.violated:
-            rows.append(result)
-    return tuple(rows)
+    packed_rows = sorted(candidates)
+    results = _evaluate_rows(
+        [valuation_01(packed, n) for packed in packed_rows],
+        table,
+        [f"g#{packed}" for packed in packed_rows],
+    )
+    return tuple(r for r in results if r.violated)
 
 
 def witness_relations(n: int) -> tuple[tuple[str, int, int], ...]:

@@ -86,6 +86,20 @@ def _read_rows(source, expected_header: tuple[str, ...]):
     return rows
 
 
+def _check_labels(kind: str, labels: Iterable[str]) -> None:
+    """Reject a label the readers would not give back: _read_rows strips
+    every cell, and csv quotes a field holding a line feed but not one
+    holding only a carriage return, which then ends the row early."""
+    for label in labels:
+        if label != label.strip():
+            problem = "surrounding whitespace"
+        elif "\r" in label:
+            problem = "a carriage return"
+        else:
+            continue
+        raise ValueError(f"{kind} {label!r} has {problem}, which does not read back")
+
+
 def _parse_value(text: str, line_num: int) -> float:
     try:
         return float(text)
@@ -138,6 +152,12 @@ def write_events_csv(
     items = list(events)
     if len(items) != len(names):
         raise ValueError("one name per event required")
+    # what read_events_csv returns, so it raises here what the reader would
+    family = EventFamily(tuple(items))
+    if len(set(names)) != len(names):
+        raise ValueError("event names must be unique")
+    _check_labels("state", family.space.labels)
+    _check_labels("event name", names)
     with _opened(target, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(("state", "event", "value"))
@@ -228,6 +248,7 @@ def read_correlations_csv(source) -> CorrelationTable:
 
 
 def write_correlations_csv(table: CorrelationTable, target) -> None:
+    _check_labels("state", table.space.labels)
     with _opened(target, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(("state", "subset", "value"))

@@ -164,6 +164,25 @@ def is_bell_valuation(f: SetFunction) -> bool:
     return all(-eps <= v <= 1.0 + eps for v in g.values)
 
 
+def valuation_01(packed: int, n: int) -> SetFunction:
+    """f_transform(g) for the 0/1 partial sums g(m) = bit m - 1 of packed.
+
+    One Moebius pass over integers: every value is a small integer, so
+    its float equals the one the float transform gives, sign of zero
+    included.
+    """
+    size = 1 << n
+    if not 0 <= packed < 1 << (size - 1):
+        raise ValueError(f"packed pattern {packed} outside 0..{(1 << (size - 1)) - 1}")
+    vals = [0] + [(packed >> t) & 1 for t in range(size - 1)]
+    for b in range(n):
+        bit = 1 << b
+        for mask in range(size):
+            if mask & bit:
+                vals[mask] -= vals[mask ^ bit]
+    return SetFunction(n, tuple(vals[1:]))
+
+
 def count_01_valuations(n: int) -> int:
     """Number of non-zero valuations with 0/1 partial sums: 2**(2**n - 1) - 1."""
     return (1 << ((1 << n) - 1)) - 1
@@ -173,7 +192,8 @@ def enumerate_01_valuations(n: int, allow_large: bool = False) -> Iterator[SetFu
     """Yield every non-zero integer valuation whose partial sums are 0/1.
 
     Runs over all non-zero 0/1 vectors g on the non-empty subsets, in
-    increasing order of the packed bit pattern, and yields f_transform(g).
+    increasing order of the packed bit pattern, and yields f_transform(g)
+    as ``valuation_01`` decodes it.
     Capped at n = 4 (32767 valuations) unless allow_large is set.
     """
     if n < 1:
@@ -182,10 +202,8 @@ def enumerate_01_valuations(n: int, allow_large: bool = False) -> Iterator[SetFu
         raise BudgetExceededError(
             f"budget exceeded: enumeration for n={n} needs an explicit override"
         )
-    entries = (1 << n) - 1
-    for packed in range(1, 1 << entries):
-        g = SetFunction(n, tuple(float((packed >> t) & 1) for t in range(entries)))
-        yield f_transform(g)
+    for packed in range(1, 1 << ((1 << n) - 1)):
+        yield valuation_01(packed, n)
 
 
 def sum_all_elementary(n: int) -> SetFunction:

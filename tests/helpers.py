@@ -7,7 +7,15 @@ force) so the library is never checked against itself.
 import itertools
 import random
 
-from numevents import ConcreteLogic, Event, StateSpace, gfe_closure, mask_event
+from numevents import (
+    ConcreteLogic,
+    Event,
+    InequalityResult,
+    StateSpace,
+    get_eps,
+    gfe_closure,
+    mask_event,
+)
 
 # 1/40 grid keeps comparisons exact: every sum/difference of grid values
 # is again a multiple of 0.025, far above float rounding noise.
@@ -44,6 +52,33 @@ def gaps_reference(masks, full, frontier):
         for b in members:
             if a & b == 0 and (a < b or b not in fresh) and (a | b) not in masks:
                 yield "A3", a | b, (a, b) if a < b else (b, a)
+
+
+def evaluate_reference(f, table, label=None):
+    """evaluate_inequality written as one row and one sum per state."""
+    if f.n != table.n:
+        raise ValueError(f"coefficients use n={f.n}, table uses n={table.n}")
+    terms = [(f.values[m - 1], table.event(m).values) for m in f.support()]
+    per_state = tuple(
+        sum([c * col[k] for c, col in terms]) for k in range(table.space.size)
+    )
+    lo = min(per_state)
+    hi = max(per_state)
+    eps = get_eps()
+    violating_state = None
+    for k, v in enumerate(per_state):
+        if v < -eps or v > 1.0 + eps:
+            violating_state = table.space.labels[k]
+            break
+    return InequalityResult(
+        label=label if label is not None else "valuation",
+        coefficients=f,
+        per_state=per_state,
+        min_value=lo,
+        max_value=hi,
+        violated=violating_state is not None,
+        violating_state=violating_state,
+    )
 
 
 def random_logic(seed: int, num_states: int, num_seeds: int) -> ConcreteLogic:

@@ -1,15 +1,20 @@
 import io
+import itertools
 import json
 import os
+import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from numevents import (
     CorrelationTable,
     DataFormatError,
     Event,
+    NumericalEventError,
+    StateSpace,
+    approx_equal,
     correlations_csv_text,
     dataio,
     events_csv_text,
@@ -24,6 +29,10 @@ from conftest import DATA_DIR
 from helpers import space
 
 SUBSET_HEADER = "state,subset,value\n"
+
+# A failing write/read property reports its first counterexample instead
+# of spending about a minute shrinking float tuples and mask sets.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 def data(name):
@@ -99,6 +108,57 @@ class TestEventsCsv:
         with pytest.raises(DataFormatError):
             read_events_csv(io.StringIO("state,event,value\n"))
 
+    @pytest.mark.parametrize(
+        "states,names,message",
+        [
+            ((" a", "b"), ("n",), "state ' a' has surrounding whitespace"),
+            (("a", "b"), ("n\t",), "event name 'n\\t' has surrounding whitespace"),
+            (("a\rb",), ("n",), "state 'a\\rb' has a carriage return"),
+            (("a",), ("n", "n"), "event names must be unique"),
+        ],
+    )
+    def test_labels_that_do_not_read_back_are_refused(self, tmp_path, states, names, message):
+        sp = StateSpace(states)
+        events = [Event((i / 4,) * sp.size, sp) for i in range(len(names))]
+        path = tmp_path / "events.csv"
+        with pytest.raises(ValueError) as err:
+            write_events_csv(events, names, str(path))
+        assert str(err.value).startswith(message)
+        assert not path.exists()
+
+    @settings(max_examples=200, phases=NO_SHRINK)
+    @given(picks=st.data())
+    def test_written_files_read_back(self, picks):
+        num_states = picks.draw(st.integers(1, 4), label="states")
+        states = picks.draw(
+            st.lists(st.text(max_size=4), min_size=num_states, max_size=num_states, unique=True),
+            label="state labels",
+        )
+        names = picks.draw(st.lists(st.text(max_size=4), max_size=4), label="names")
+        sp = StateSpace(tuple(states))
+        events = [
+            Event(picks.draw(st.tuples(*[st.floats(0.0, 1.0)] * num_states)), sp)
+            for _ in names
+        ]
+        refused = (
+            not events
+            or len(set(names)) < len(names)
+            or any(x != x.strip() or "\r" in x for x in states + names)
+            or any(approx_equal(p, q) for p, q in itertools.combinations(events, 2))
+        )
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "events.csv")
+            if refused:
+                with pytest.raises((ValueError, NumericalEventError)):
+                    write_events_csv(events, names, path)
+                assert not os.path.exists(path)
+                return
+            write_events_csv(events, names, path)
+            family, back = read_events_csv(path)
+        assert back == tuple(names)
+        assert family.space.labels == sp.labels
+        assert [e.values for e in family] == [e.values for e in events]
+
 
 class TestCorrelationsCsv:
     def test_read_infers_n_from_the_largest_index(self):
@@ -137,6 +197,16 @@ class TestCorrelationsCsv:
         with pytest.raises(DataFormatError, match="no data rows"):
             read_correlations_csv(io.StringIO("state,subset,value\n"))
 
+    @pytest.mark.parametrize("label", [" a", "a ", "a\rb"])
+    def test_state_labels_that_do_not_read_back_are_refused(self, tmp_path, label):
+        sp = StateSpace(("s1", label))
+        table = CorrelationTable.build(sp, 1, {1: Event((0.5, 0.25), sp)})
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValueError) as err:
+            write_correlations_csv(table, str(path))
+        assert str(err.value).startswith(f"state {label!r} has ")
+        assert not path.exists()
+
     def test_duplicate_subset_and_state_rejected(self):
         text = SUBSET_HEADER + 's1,{1},0.5\ns1,{2},0.5\ns1,"{1}",0.4\n'
         with pytest.raises(DataFormatError) as err:
@@ -160,7 +230,7 @@ class TestCorrelationsCsv:
         assert table.missing_masks()[:2] == (0b101, 0b110)
 
     @pytest.mark.parametrize("n", range(1, 17))
-    @settings(max_examples=10)
+    @settings(max_examples=10, phases=NO_SHRINK)
     @given(picks=st.data())
     def test_sparse_tables_read_back_for_every_n(self, n, picks):
         num_states = picks.draw(st.integers(1, 2), label="states")

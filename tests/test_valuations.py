@@ -22,6 +22,7 @@ from numevents import (
     subset_labels,
     sum_all_elementary,
 )
+from numevents.valuations import valuation_01
 from helpers import direct_f, direct_g
 
 
@@ -186,6 +187,18 @@ class TestEnumeration:
     def test_subset_sums_are_exactly_zero_or_one(self):
         for f in enumerate_01_valuations(3):
             assert set(g_transform(f).values) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_decoder_matches_the_float_transform_on_every_pattern(self, n):
+        entries = (1 << n) - 1
+        for packed in range(1 << entries):
+            g = SetFunction(n, tuple(float((packed >> t) & 1) for t in range(entries)))
+            assert repr(valuation_01(packed, n)) == repr(f_transform(g)), packed
+
+    def test_decoder_rejects_patterns_outside_the_lattice(self):
+        for packed in (-1, 1 << 7):
+            with pytest.raises(ValueError, match="outside 0..127"):
+                valuation_01(packed, 3)
 
     def test_cap_blocks_large_n(self):
         with pytest.raises(BudgetExceededError):

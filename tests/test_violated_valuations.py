@@ -1,6 +1,8 @@
-"""The atom-mass decision of the 0/1-valuation list against full enumeration."""
+"""The atom-mass decision of the 0/1-valuation list against full enumeration,
+and the batch evaluator against one-row-at-a-time evaluation."""
 
 import functools
+import itertools
 import json
 import random
 
@@ -26,7 +28,7 @@ from numevents import (
     write_correlations_csv,
 )
 from numevents.cli import main
-from helpers import space
+from helpers import evaluate_reference, space
 
 EPS_VALUES = (1e-12, 1e-9, 1e-3, 0.05)
 
@@ -260,22 +262,97 @@ def test_evaluation_is_bit_identical_to_the_old_expression(kind):
             )
 
 
+def batch(n, rng, valuations):
+    """Rows that share prefixes, repeat, vanish or carry random reals, shuffled."""
+    size = (1 << n) - 1
+
+    def reals(count):
+        return [rng.uniform(-3, 3) * (rng.random() < 0.7) for _ in range(count)]
+
+    base = reals(size)
+    rows = [SetFunction.zero(n), SetFunction.zero(n), pair_inequality(1, 2, n)]
+    rows += rng.sample(all_valuations(n), min(valuations, count_01_valuations(n)))
+    rows += [
+        SetFunction(n, base[:k] + reals(size - k)) for k in range(size + 1) for _ in range(2)
+    ]
+    rows += [SetFunction(n, reals(size)) for _ in range(20)]
+    rows += rng.sample(rows, 10)
+    rng.shuffle(rows)
+    return rows
+
+
+class TestBatchEvaluator:
+    """_evaluate_rows against evaluating each row on its own, in input order."""
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_rows_equal_the_reference(self, kind, n):
+        rng = random.Random(f"{kind}{n}")
+        table = KINDS[kind](n, 5, rng.randrange(1000))
+        rows = batch(n, rng, 300)
+        labels = [f"row{i}" for i in range(len(rows))]
+        for eps in (1e-12, 1e-9, 0.05):
+            with eps_scope(eps):
+                expected = [
+                    repr(evaluate_reference(f, table, label))
+                    for f, label in zip(rows, labels)
+                ]
+                got = correlations_module._evaluate_rows(rows, table, labels)
+                assert [repr(r) for r in got] == expected, eps
+
+    def test_single_rows_match_evaluate_inequality(self):
+        table = flat_table(3, 4, 5)
+        for f in batch(3, random.Random(5), 20):
+            assert repr(evaluate_inequality(f, table)) == repr(
+                evaluate_reference(f, table)
+            )
+
+    def test_errors_are_raised_in_input_order(self):
+        sp = space(2)
+        sparse = build(sp, 3, {1: [0.5, 0.2], 2: [0.5, 0.4], 4: [0.3, 0.3], 5: [0.1, 0.2]})
+        rows = [
+            pair_inequality(1, 4, 3),
+            pair_inequality(1, 2, 3),
+            pair_inequality(2, 4, 3),
+            pair_inequality(1, 2, 2),
+            SetFunction.zero(3),
+        ]
+        messages = set()
+        for order in itertools.permutations(rows):
+            expected = None
+            for f in order:
+                try:
+                    evaluate_reference(f, sparse)
+                except (MissingCorrelationError, ValueError) as exc:
+                    expected = (type(exc), str(exc))
+                    break
+            with pytest.raises((MissingCorrelationError, ValueError)) as err:
+                correlations_module._evaluate_rows(order, sparse, ["x"] * len(order))
+            assert (type(err.value), str(err.value)) == expected
+            messages.add(expected)
+        assert messages == {
+            (MissingCorrelationError, "missing correlation {1,2}"),
+            (MissingCorrelationError, "missing correlation {2,3}"),
+            (ValueError, "coefficients use n=2, table uses n=3"),
+        }
+
+
 class TestCallCounts:
     """bell --all-valuations must not fall back to evaluating every valuation."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counted = []
-        real = correlations_module.evaluate_inequality
+        real = correlations_module._evaluate_rows
 
-        def counting(*args, **kwargs):
-            counted.append(1)
-            return real(*args, **kwargs)
+        def counting(fs, table, labels):
+            counted.append(len(fs))
+            return real(fs, table, labels)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("enumerate_01_valuations was called")
 
-        monkeypatch.setattr(correlations_module, "evaluate_inequality", counting)
+        monkeypatch.setattr(correlations_module, "_evaluate_rows", counting)
         for module in (valuations_module, cli_module):
             monkeypatch.setattr(module, "enumerate_01_valuations", forbidden)
         return counted
@@ -287,7 +364,7 @@ class TestCallCounts:
         out = capsys.readouterr().out
         assert f"checked: {count_01_valuations(4)}" in out
         assert "violations: 0" in out
-        assert calls == []
+        assert sum(calls) == 0
 
     def test_flat_table_evaluates_each_violated_row_once(self, calls, tmp_path, capsys):
         path = str(tmp_path / "flat.csv")
@@ -296,4 +373,4 @@ class TestCallCounts:
         payload = json.loads(capsys.readouterr().out)
         assert payload["checked"] == count_01_valuations(4)
         assert payload["violations"] == 10240
-        assert len(calls) == payload["violations"]
+        assert calls == [payload["violations"]]
