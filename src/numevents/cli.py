@@ -9,7 +9,6 @@ argparse also exits 2 on a command line it cannot parse.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Collection, Sequence
@@ -17,6 +16,7 @@ from typing import Collection, Sequence
 from .correlations import check_bell_like, violated_01_valuations
 from .dataio import (
     DataFormatError,
+    _json_text,
     read_correlations_csv,
     read_events_csv,
     read_logic_json,
@@ -68,11 +68,12 @@ def _add_witnesses(
         lines += [f"- {name} = {_fmt_values(event)}" for name, event in witnesses]
 
 
-def _emit(report: dict, text_lines: list[str], fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+def _emit(output: dict | list[str]) -> None:
+    """Print a JSON report (a dict) or text lines (a list of str)."""
+    if isinstance(output, dict):
+        sys.stdout.write(_json_text(output) + "\n")
     else:
-        sys.stdout.write("\n".join(text_lines) + "\n")
+        sys.stdout.write("\n".join(output) + "\n")
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -95,7 +96,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     ]
     lines += [f"- {r}" for r in result.reasons]
     _add_witnesses(report, lines, result.witnesses)
-    _emit(report, lines, args.format)
+    _emit(report if args.format == "json" else lines)
     if result.verdict == EMBEDDABLE:
         return EXIT_OK
     if result.verdict == NOT_EMBEDDABLE:
@@ -138,7 +139,7 @@ def _cmd_boolean(args: argparse.Namespace) -> int:
         subset = mask_from_indices(verdict.missing_minimum, family.n)
         lines.append(f"missing minimum: {format_subset(subset)}")
     _add_witnesses(report, lines, (verdict.witnesses or {}).items())
-    _emit(report, lines, args.format)
+    _emit(report if args.format == "json" else lines)
     return EXIT_OK if verdict.boolean else EXIT_NEGATIVE
 
 
@@ -159,42 +160,46 @@ def _cmd_bell(args: argparse.Namespace) -> int:
     else:
         rows = check_bell_like(table)
         checked = len(rows)
-    violated = [r for r in rows if r.violated]
+    violated = sum(r.violated for r in rows)
     verdict = "violated" if violated else "no obstruction found"
-    report = {
-        "command": "bell",
-        "n": table.n,
-        "states": list(table.space.labels),
-        "mode": mode,
-        "checked": checked,
-        "violations": len(violated),
-        "rows": [
+    if args.format == "json":
+        _emit(
             {
-                "label": r.label,
-                "coefficients": list(r.coefficients.values),
-                "min": r.min_value,
-                "max": r.max_value,
-                "violated": r.violated,
-                "violating_state": r.violating_state,
+                "command": "bell",
+                "n": table.n,
+                "states": list(table.space.labels),
+                "mode": mode,
+                "checked": checked,
+                "violations": violated,
+                "rows": [
+                    {
+                        "label": r.label,
+                        "coefficients": list(r.coefficients.values),
+                        "min": r.min_value,
+                        "max": r.max_value,
+                        "violated": r.violated,
+                        "violating_state": r.violating_state,
+                    }
+                    for r in rows
+                ],
+                "verdict": verdict,
             }
-            for r in rows
-        ],
-        "verdict": verdict,
-    }
-    lines = [
-        f"n: {table.n}",
-        f"mode: {mode}",
-        f"checked: {checked}",
-    ]
-    for r in rows:
-        status = f"VIOLATED at {r.violating_state}" if r.violated else "ok"
-        lines.append(
-            f"- {r.label}  min={_fmt_number(r.min_value)} "
-            f"max={_fmt_number(r.max_value)}  {status}"
         )
-    lines.append(f"violations: {len(violated)}")
-    lines.append(f"verdict: {verdict}")
-    _emit(report, lines, args.format)
+    else:
+        lines = [
+            f"n: {table.n}",
+            f"mode: {mode}",
+            f"checked: {checked}",
+        ]
+        for r in rows:
+            status = f"VIOLATED at {r.violating_state}" if r.violated else "ok"
+            lines.append(
+                f"- {r.label}  min={_fmt_number(r.min_value)} "
+                f"max={_fmt_number(r.max_value)}  {status}"
+            )
+        lines.append(f"violations: {violated}")
+        lines.append(f"verdict: {verdict}")
+        _emit(lines)
     return EXIT_NEGATIVE if violated else EXIT_OK
 
 
@@ -212,13 +217,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         for f in enumerate_01_valuations(n, allow_large=True)
     )
     if args.format == "json":
-        payload = {
-            "command": "enumerate",
-            "n": n,
-            "count": count,
-            "valuations": [vec for vec in vectors],
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        _emit(
+            {
+                "command": "enumerate",
+                "n": n,
+                "count": count,
+                "valuations": list(vectors),
+            }
+        )
     else:
         sys.stdout.write(f"{count}\n")
         for vec in vectors:

@@ -22,6 +22,7 @@ import csv
 import io
 import json
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -84,6 +85,67 @@ def _read_rows(source, expected_header: tuple[str, ...]):
     if not rows:
         raise DataFormatError("no data rows")
     return rows
+
+
+def _float_text(x: float) -> str:
+    if x - x == 0.0:  # false only for nan and the infinities
+        return float.__repr__(x)
+    if x != x:
+        return "NaN"
+    return "Infinity" if x > 0 else "-Infinity"
+
+
+# How json spells a value of each exact scalar type. A list whose items
+# all share one of these types is rendered by one str.join over a map.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """Exactly ``json.dumps(value, indent=2)`` for dicts with str keys,
+    lists, tuples, str, int, bool, None and float.
+
+    With an indent, CPython's json falls back to its pure-Python encoder;
+    this renders the same bytes from C-level pieces. ``newline`` is a
+    line break followed by the indent of the enclosing level.
+    """
+    render = _SCALAR_TEXT.get(type(value))
+    if render is not None:
+        return render(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_text(item, inner)
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        separator = "," + inner
+        kinds = set(map(type, value))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind is float:
+            text = separator.join(map(float.__repr__, value))
+            if "n" in text:  # nan or inf, which json spells differently
+                text = separator.join(map(_float_text, value))
+        elif kind in _SCALAR_TEXT:
+            text = separator.join(map(_SCALAR_TEXT[kind], value))
+        else:
+            text = separator.join([_json_text(item, inner) for item in value])
+        return "[" + inner + text + newline + "]"
+    # subclasses of the scalar types, rendered as json renders them
+    for kind in (str, int, float):
+        if isinstance(value, kind):
+            return _SCALAR_TEXT[kind](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _check_labels(kind: str, labels: Iterable[str]) -> None:
@@ -318,7 +380,7 @@ def write_logic_json(
         ],
         "family": list(family),
     }
-    text = json.dumps(payload, indent=2) + "\n"
+    text = _json_text(payload) + "\n"
     with _opened(target, "w") as stream:
         stream.write(text)
 

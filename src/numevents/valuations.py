@@ -14,6 +14,8 @@ stores one coefficient per mask, in increasing mask order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from operator import add
 from typing import Iterator, Mapping
 
 from .events import BudgetExceededError
@@ -88,7 +90,7 @@ class SetFunction:
     def __post_init__(self) -> None:
         if not 1 <= self.n <= 16:
             raise ValueError(f"n must lie in 1..16, got {self.n}")
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
         if len(vals) != (1 << self.n) - 1:
             raise ValueError(
                 f"expected {(1 << self.n) - 1} coefficients for n={self.n}, got {len(vals)}"
@@ -164,23 +166,47 @@ def is_bell_valuation(f: SetFunction) -> bool:
     return all(-eps <= v <= 1.0 + eps for v in g.values)
 
 
-def valuation_01(packed: int, n: int) -> SetFunction:
-    """f_transform(g) for the 0/1 partial sums g(m) = bit m - 1 of packed.
-
-    One Moebius pass over integers: every value is a small integer, so
-    its float equals the one the float transform gives, sign of zero
-    included.
-    """
+def _moebius_01(packed: int, n: int) -> list[int]:
+    """Integer Moebius pass over the 0/1 partial sums packed in the bits."""
     size = 1 << n
-    if not 0 <= packed < 1 << (size - 1):
-        raise ValueError(f"packed pattern {packed} outside 0..{(1 << (size - 1)) - 1}")
     vals = [0] + [(packed >> t) & 1 for t in range(size - 1)]
     for b in range(n):
         bit = 1 << b
         for mask in range(size):
             if mask & bit:
                 vals[mask] -= vals[mask ^ bit]
-    return SetFunction(n, tuple(vals[1:]))
+    return vals[1:]
+
+
+@cache
+def _half_tables(n: int) -> tuple[int, tuple, tuple]:
+    """The low bit count k and the passes of every pattern of the low k
+    bits and of every pattern of the high bits (shifted up by k)."""
+    width = (1 << n) - 1
+    k = width // 2
+    low = tuple(tuple(_moebius_01(x, n)) for x in range(1 << k))
+    high = tuple(tuple(_moebius_01(y << k, n)) for y in range(1 << (width - k)))
+    return k, low, high
+
+
+def valuation_01(packed: int, n: int) -> SetFunction:
+    """f_transform(g) for the 0/1 partial sums g(m) = bit m - 1 of packed.
+
+    The integer Moebius pass is linear in the bits of packed: the pass of
+    packed is the pass of its low k bits plus the pass of its high bits.
+    For n <= ENUMERATION_CAP both are rows of two tables built once per n
+    (2**7 and 2**8 rows at n=4); above the cap the pass runs directly.
+    Integer sums are exact and every value is a small integer, so its
+    float equals the one the float transform gives, sign of zero included.
+    """
+    size = 1 << n
+    if not 0 <= packed < 1 << (size - 1):
+        raise ValueError(f"packed pattern {packed} outside 0..{(1 << (size - 1)) - 1}")
+    if n > ENUMERATION_CAP:
+        return SetFunction(n, _moebius_01(packed, n))
+    k, low, high = _half_tables(n)
+    vals = map(add, low[packed & ((1 << k) - 1)], high[packed >> k])
+    return SetFunction(n, tuple(vals))
 
 
 def count_01_valuations(n: int) -> int:

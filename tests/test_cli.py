@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import numevents
-from numevents import get_eps
+from numevents import format_subset, get_eps
 from numevents.cli import main
 from conftest import DATA_DIR, GOLDEN_DIR
 
@@ -277,6 +277,23 @@ def _write(path, text):
 def _bell_table(num_events):
     rows = [f"s1,{{{i}}},0.5" for i in range(1, num_events + 1)]
     return "state,subset,value\n" + "\n".join(rows) + "\n"
+
+
+def test_flat_table_json_is_the_indent_encoders_text(tmp_path, capsys):
+    # "\u00fc" has singletons 0.5 and joints 0, so every valuation that
+    # selects three or four singletons sums past 1 there: 2**11 * 5 rows
+    rows = ["state,subset,value"]
+    for mask in range(1, 16):
+        subset = format_subset(mask)
+        flat = 0.5 if mask.bit_count() == 1 else 0.0
+        rows += [f's1,"{subset}",0', f'\u00fc,"{subset}",{flat}']
+    path = _write(tmp_path / "flat.csv", "\n".join(rows) + "\n")
+    assert main(["--format", "json", "bell", path, "--all-valuations"]) == 2
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2) + "\n"
+    assert report["violations"] == len(report["rows"]) == 10240
+    assert {row["violating_state"] for row in report["rows"]} == {"\u00fc"}
 
 
 class TestErrorMessages:

@@ -34,6 +34,31 @@ SUBSET_HEADER = "state,subset,value\n"
 # of spending about a minute shrinking float tuples and mask sets.
 NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
+# characters json escapes: a quote, a backslash, a control character and
+# non-ASCII ones, one outside the Basic Multilingual Plane
+LABEL_CHARS = st.sampled_from('ab"\\\x07\u00e9\u2603\U0001f600 ')
+
+# one strategy per JSON scalar type
+SCALAR_KINDS = (
+    st.none(),
+    st.booleans(),
+    st.integers() | st.sampled_from([2**64, -(2**70) - 1]),
+    st.floats()
+    | st.sampled_from([-0.0, 1e-05, 1e16, float("nan"), float("inf"), float("-inf")]),
+    st.text() | st.text(LABEL_CHARS),
+)
+SCALARS = st.one_of(SCALAR_KINDS)
+
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(st.text(LABEL_CHARS) | st.text(), children),
+    ),
+    max_leaves=40,
+)
+
 
 def data(name):
     return os.path.join(DATA_DIR, name)
@@ -407,6 +432,73 @@ class TestLogicJson:
         payload = {"states": ["s1"], "logic": [[0], [1], [0.5]], "family": [0]}
         sp, events, family = read_logic_json(io.StringIO(json.dumps(payload)))
         assert events[2].values == (0.5,)
+
+    @settings(max_examples=40, phases=NO_SHRINK)
+    @given(picks=st.data())
+    def test_written_logic_reads_back(self, picks):
+        labels = picks.draw(
+            st.lists(
+                st.text(LABEL_CHARS, min_size=1), min_size=1, max_size=4, unique=True
+            ),
+            label="states",
+        )
+        member = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+        rows = picks.draw(
+            st.lists(
+                st.tuples(*[member] * len(labels)), min_size=1, max_size=6
+            ),
+            label="logic",
+        )
+        family = picks.draw(
+            st.lists(st.integers(0, len(rows) - 1), max_size=4), label="family"
+        )
+        sp = StateSpace(tuple(labels))
+        buffer = io.StringIO()
+        write_logic_json(sp, [Event(row, sp) for row in rows], family, buffer)
+        payload = {
+            "states": labels,
+            "logic": [[int(v) if v in (0.0, 1.0) else v for v in row] for row in rows],
+            "family": family,
+        }
+        assert buffer.getvalue() == json.dumps(payload, indent=2) + "\n"
+        buffer.seek(0)
+        back_space, back_events, back_family = read_logic_json(buffer)
+        assert back_space.labels == tuple(labels)
+        assert [e.values for e in back_events] == rows
+        assert back_family == tuple(family)
+
+
+class TestJsonText:
+    """``dataio._json_text`` against the encoder it replaces."""
+
+    @settings(max_examples=200)
+    @given(value=JSON_VALUES)
+    def test_matches_json_dumps_with_indent(self, value):
+        assert dataio._json_text(value) == json.dumps(value, indent=2)
+
+    @given(values=st.one_of([st.lists(kind) for kind in SCALAR_KINDS]))
+    def test_matches_json_dumps_on_lists_of_one_type(self, values):
+        for value in (values, {"rows": [values, values], "empty": []}):
+            assert dataio._json_text(value) == json.dumps(value, indent=2)
+
+    def test_subclasses_render_as_json_renders_them(self):
+        class Label(str):
+            pass
+
+        class Count(int):
+            def __repr__(self):
+                return "Count()"
+
+        class Mass(float):
+            def __repr__(self):
+                return "Mass()"
+
+        value = [Label("x"), Count(3), Mass(0.5), [Mass(0.25)], {"k": Count(1)}]
+        assert dataio._json_text(value) == json.dumps(value, indent=2)
+
+    def test_unsupported_values_raise_type_error(self):
+        with pytest.raises(TypeError):
+            dataio._json_text({"k": {1, 2}})
 
 
 def _events_case():

@@ -22,6 +22,7 @@ from numevents import (
     subset_labels,
     sum_all_elementary,
 )
+from numevents import valuations
 from numevents.valuations import valuation_01
 from helpers import direct_f, direct_g
 
@@ -194,6 +195,15 @@ class TestEnumeration:
         for packed in range(1 << entries):
             g = SetFunction(n, tuple(float((packed >> t) & 1) for t in range(entries)))
             assert repr(valuation_01(packed, n)) == repr(f_transform(g)), packed
+
+    def test_decoder_above_the_cap_runs_the_pass_without_tables(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(valuations, "_half_tables", built.append)
+        entries = (1 << 5) - 1
+        for packed in (1, 0x55555555 & ((1 << entries) - 1), (1 << entries) - 1):
+            g = SetFunction(5, tuple(float((packed >> t) & 1) for t in range(entries)))
+            assert repr(valuation_01(packed, 5)) == repr(f_transform(g)), packed
+        assert built == []
 
     def test_decoder_rejects_patterns_outside_the_lattice(self):
         for packed in (-1, 1 << 7):
