@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Collection, Sequence
+from itertools import chain
+from typing import Collection, Iterable, Sequence
 
 from .correlations import check_bell_like, violated_01_valuations
 from .dataio import (
     DataFormatError,
-    _json_text,
+    _json_chunks,
     read_correlations_csv,
     read_events_csv,
     read_logic_json,
@@ -45,6 +46,9 @@ EXIT_UNDECIDED = 3
 
 ENV_EPS = "NUMEVENT_EPS"
 
+# characters per write on stdout
+_WRITE_SIZE = 1 << 16
+
 
 def _fmt_number(v: float) -> str:
     if v == int(v):
@@ -68,12 +72,30 @@ def _add_witnesses(
         lines += [f"- {name} = {_fmt_values(event)}" for name, event in witnesses]
 
 
+def _write(pieces: Iterable[str]) -> None:
+    """Write the pieces to stdout in groups of about _WRITE_SIZE characters.
+
+    Unbuffered (``python -u``), every write on stdout is a system call;
+    joined whole, a long report is held once more as one string.
+    """
+    group: list[str] = []
+    size = 0
+    for piece in pieces:
+        group.append(piece)
+        size += len(piece)
+        if size >= _WRITE_SIZE:
+            sys.stdout.write("".join(group))
+            group, size = [], 0
+    if group:
+        sys.stdout.write("".join(group))
+
+
 def _emit(output: dict | list[str]) -> None:
     """Print a JSON report (a dict) or text lines (a list of str)."""
     if isinstance(output, dict):
-        sys.stdout.write(_json_text(output) + "\n")
+        _write(chain(_json_chunks(output), ["\n"]))
     else:
-        sys.stdout.write("\n".join(output) + "\n")
+        _write(line + "\n" for line in output)
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -212,23 +234,20 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             f"enumeration for n={n} needs --override-enumeration-cap"
         )
     count = count_01_valuations(n)
-    vectors = (
-        [int(v) for v in f.values]
-        for f in enumerate_01_valuations(n, allow_large=True)
-    )
+    valuations = enumerate_01_valuations(n, allow_large=True)
     if args.format == "json":
         _emit(
             {
                 "command": "enumerate",
                 "n": n,
                 "count": count,
-                "valuations": list(vectors),
+                "valuations": [list(map(int, f.values)) for f in valuations],
             }
         )
     else:
-        sys.stdout.write(f"{count}\n")
-        for vec in vectors:
-            sys.stdout.write(" ".join(str(v) for v in vec) + "\n")
+        # "%d" renders an integral float as int() does, -0.0 as 0
+        line = " ".join(["%d"] * ((1 << n) - 1)) + "\n"
+        _write(chain([f"{count}\n"], (line % f.values for f in valuations)))
     return EXIT_OK
 
 

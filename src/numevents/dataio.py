@@ -106,6 +106,13 @@ _SCALAR_TEXT = {
 }
 
 
+def _shared_scalar(items) -> type | None:
+    """The scalar type every item has, or None if there is no such type."""
+    kinds = set(map(type, items))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    return kind if kind in _SCALAR_TEXT else None
+
+
 def _json_text(value, newline: str = "\n") -> str:
     """Exactly ``json.dumps(value, indent=2)`` for dicts with str keys,
     lists, tuples, str, int, bool, None and float.
@@ -130,13 +137,12 @@ def _json_text(value, newline: str = "\n") -> str:
         if not value:
             return "[]"
         separator = "," + inner
-        kinds = set(map(type, value))
-        kind = kinds.pop() if len(kinds) == 1 else None
+        kind = _shared_scalar(value)
         if kind is float:
             text = separator.join(map(float.__repr__, value))
             if "n" in text:  # nan or inf, which json spells differently
                 text = separator.join(map(_float_text, value))
-        elif kind in _SCALAR_TEXT:
+        elif kind is not None:
             text = separator.join(map(_SCALAR_TEXT[kind], value))
         else:
             text = separator.join([_json_text(item, inner) for item in value])
@@ -146,6 +152,28 @@ def _json_text(value, newline: str = "\n") -> str:
         if isinstance(value, kind):
             return _SCALAR_TEXT[kind](value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_chunks(value, newline: str = "\n") -> Iterator[str]:
+    """The text of ``_json_text(value)`` in pieces, so that a writer never
+    holds the whole document: a non-empty dict item by item, a list of
+    containers one item per piece, anything else as one piece."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        separator = "{" + inner
+        for key, item in value.items():
+            yield separator + encode_basestring_ascii(key) + ": "
+            yield from _json_chunks(item, inner)
+            separator = "," + inner
+        yield newline + "}"
+    elif isinstance(value, (list, tuple)) and value and _shared_scalar(value) is None:
+        separator = "[" + inner
+        for item in value:
+            yield separator + _json_text(item, inner)
+            separator = "," + inner
+        yield newline + "]"
+    else:
+        yield _json_text(value, newline)
 
 
 def _check_labels(kind: str, labels: Iterable[str]) -> None:
@@ -380,9 +408,12 @@ def write_logic_json(
         ],
         "family": list(family),
     }
-    text = _json_text(payload) + "\n"
+    # rendered before the target is opened, so that a value json cannot
+    # encode leaves no truncated file behind
+    pieces = list(_json_chunks(payload))
     with _opened(target, "w") as stream:
-        stream.write(text)
+        stream.writelines(pieces)
+        stream.write("\n")
 
 
 def events_csv_text(events: Iterable[Event], names: Sequence[str]) -> str:

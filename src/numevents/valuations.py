@@ -97,6 +97,15 @@ class SetFunction:
             )
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _decoded(cls, n: int, values: tuple[float, ...]) -> "SetFunction":
+        # a tuple of 2**n - 1 floats for 1 <= n <= 16, as valuation_01's
+        # tables make it; skips the checks and conversion in __post_init__
+        f = object.__new__(cls)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "values", values)
+        return f
+
     def value(self, mask: int) -> float:
         if not 1 <= mask < (1 << self.n):
             raise ValueError(f"mask {mask} outside 1..{(1 << self.n) - 1}")
@@ -178,6 +187,14 @@ def _moebius_01(packed: int, n: int) -> list[int]:
     return vals[1:]
 
 
+# One float object per value a decoded coefficient can take: a 0/1
+# partial-sum pattern gives |f(I)| <= 2**(|I| - 1), at most 8 for n <= 4.
+_FLOAT_OF = {
+    k: float(k)
+    for k in range(-(1 << (ENUMERATION_CAP - 1)), (1 << (ENUMERATION_CAP - 1)) + 1)
+}
+
+
 @cache
 def _half_tables(n: int) -> tuple[int, tuple, tuple]:
     """The low bit count k and the passes of every pattern of the low k
@@ -195,18 +212,19 @@ def valuation_01(packed: int, n: int) -> SetFunction:
     The integer Moebius pass is linear in the bits of packed: the pass of
     packed is the pass of its low k bits plus the pass of its high bits.
     For n <= ENUMERATION_CAP both are rows of two tables built once per n
-    (2**7 and 2**8 rows at n=4); above the cap the pass runs directly.
-    Integer sums are exact and every value is a small integer, so its
-    float equals the one the float transform gives, sign of zero included.
+    (2**7 and 2**8 rows at n=4), and every sum maps to the one shared float
+    of its value; above the cap the pass runs directly. Integer sums are
+    exact and every value is a small integer, so its float equals the one
+    the float transform gives, sign of zero included.
     """
     size = 1 << n
     if not 0 <= packed < 1 << (size - 1):
         raise ValueError(f"packed pattern {packed} outside 0..{(1 << (size - 1)) - 1}")
-    if n > ENUMERATION_CAP:
+    if not 1 <= n <= ENUMERATION_CAP:
         return SetFunction(n, _moebius_01(packed, n))
     k, low, high = _half_tables(n)
-    vals = map(add, low[packed & ((1 << k) - 1)], high[packed >> k])
-    return SetFunction(n, tuple(vals))
+    sums = map(add, low[packed & ((1 << k) - 1)], high[packed >> k])
+    return SetFunction._decoded(n, tuple(map(_FLOAT_OF.__getitem__, sums)))
 
 
 def count_01_valuations(n: int) -> int:

@@ -2,11 +2,20 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import numevents
-from numevents import format_subset, get_eps
+import numevents.cli as cli
+from numevents import (
+    count_01_valuations,
+    enumerate_01_valuations,
+    format_subset,
+    get_eps,
+    read_correlations_csv,
+    violated_01_valuations,
+)
 from numevents.cli import main
 from conftest import DATA_DIR, GOLDEN_DIR
 
@@ -279,7 +288,26 @@ def _bell_table(num_events):
     return "state,subset,value\n" + "\n".join(rows) + "\n"
 
 
-def test_flat_table_json_is_the_indent_encoders_text(tmp_path, capsys):
+class NullStdout:
+    """A stdout that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+
+class RecordingStdout:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.fixture
+def flat_table(tmp_path):
     # "\u00fc" has singletons 0.5 and joints 0, so every valuation that
     # selects three or four singletons sums past 1 there: 2**11 * 5 rows
     rows = ["state,subset,value"]
@@ -287,13 +315,59 @@ def test_flat_table_json_is_the_indent_encoders_text(tmp_path, capsys):
         subset = format_subset(mask)
         flat = 0.5 if mask.bit_count() == 1 else 0.0
         rows += [f's1,"{subset}",0', f'\u00fc,"{subset}",{flat}']
-    path = _write(tmp_path / "flat.csv", "\n".join(rows) + "\n")
-    assert main(["--format", "json", "bell", path, "--all-valuations"]) == 2
-    out = capsys.readouterr().out
+    return _write(tmp_path / "flat.csv", "\n".join(rows) + "\n")
+
+
+def test_flat_table_json_is_the_indent_encoders_text(flat_table, monkeypatch):
+    stdout = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["--format", "json", "bell", flat_table, "--all-valuations"]) == 2
+    out = "".join(stdout.writes)
     report = json.loads(out)
     assert out == json.dumps(report, indent=2) + "\n"
     assert report["violations"] == len(report["rows"]) == 10240
     assert {row["violating_state"] for row in report["rows"]} == {"\u00fc"}
+    # written in groups of 64 KiB, each ending with at most one row more
+    group = 1 << 16
+    row = max(map(len, out.split("\n    {")))
+    assert max(map(len, stdout.writes)) <= group + row
+    assert len(stdout.writes) <= -(-len(out.encode()) // group) + 2
+
+
+def test_emitting_the_flat_report_holds_no_copy_of_it(flat_table, monkeypatch):
+    emit, reports = cli._emit, []
+    monkeypatch.setattr(cli, "_emit", reports.append)
+    assert main(["--format", "json", "bell", flat_table, "--all-valuations"]) == 2
+    (report,) = reports
+    monkeypatch.setattr(sys, "stdout", NullStdout())
+    tracemalloc.start()
+    try:
+        emit(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole text is about 3.7 MB
+    assert peak < 1 << 20
+
+
+def test_the_flat_tables_rows_share_their_coefficient_floats(flat_table):
+    rows = violated_01_valuations(read_correlations_csv(flat_table))
+    coefficients = [v for r in rows for v in r.coefficients.values]
+    assert len(rows) == 10240
+    assert len(set(map(id, coefficients))) <= len(set(map(repr, coefficients)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumerate_prints_each_valuation_as_integers(n, monkeypatch):
+    expected = f"{count_01_valuations(n)}\n" + "".join(
+        " ".join(str(int(v)) for v in f.values) + "\n"
+        for f in enumerate_01_valuations(n)
+    )
+    stdout = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["enumerate", str(n)]) == 0
+    assert "".join(stdout.writes) == expected
+    assert len(stdout.writes) <= -(-len(expected) // (1 << 16)) + 2
 
 
 class TestErrorMessages:

@@ -474,12 +474,16 @@ class TestJsonText:
     @settings(max_examples=200)
     @given(value=JSON_VALUES)
     def test_matches_json_dumps_with_indent(self, value):
-        assert dataio._json_text(value) == json.dumps(value, indent=2)
+        expected = json.dumps(value, indent=2)
+        assert dataio._json_text(value) == expected
+        assert "".join(dataio._json_chunks(value)) == expected
 
     @given(values=st.one_of([st.lists(kind) for kind in SCALAR_KINDS]))
     def test_matches_json_dumps_on_lists_of_one_type(self, values):
         for value in (values, {"rows": [values, values], "empty": []}):
-            assert dataio._json_text(value) == json.dumps(value, indent=2)
+            expected = json.dumps(value, indent=2)
+            assert dataio._json_text(value) == expected
+            assert "".join(dataio._json_chunks(value)) == expected
 
     def test_subclasses_render_as_json_renders_them(self):
         class Label(str):
