@@ -90,8 +90,8 @@ def _write(pieces: Iterable[str]) -> None:
         sys.stdout.write("".join(group))
 
 
-def _emit(output: dict | list[str]) -> None:
-    """Print a JSON report (a dict) or text lines (a list of str)."""
+def _emit(output: dict | Iterable[str]) -> None:
+    """Print a JSON report (a dict) or text lines (an iterable of str)."""
     if isinstance(output, dict):
         _write(chain(_json_chunks(output), ["\n"]))
     else:
@@ -193,7 +193,8 @@ def _cmd_bell(args: argparse.Namespace) -> int:
                 "mode": mode,
                 "checked": checked,
                 "violations": violated,
-                "rows": [
+                # one row dict at a time, as the writer asks for it
+                "rows": (
                     {
                         "label": r.label,
                         "coefficients": list(r.coefficients.values),
@@ -203,25 +204,24 @@ def _cmd_bell(args: argparse.Namespace) -> int:
                         "violating_state": r.violating_state,
                     }
                     for r in rows
-                ],
+                ),
                 "verdict": verdict,
             }
         )
     else:
-        lines = [
-            f"n: {table.n}",
-            f"mode: {mode}",
-            f"checked: {checked}",
-        ]
-        for r in rows:
-            status = f"VIOLATED at {r.violating_state}" if r.violated else "ok"
-            lines.append(
-                f"- {r.label}  min={_fmt_number(r.min_value)} "
-                f"max={_fmt_number(r.max_value)}  {status}"
+        lines = (
+            f"- {r.label}  min={_fmt_number(r.min_value)} "
+            f"max={_fmt_number(r.max_value)}  "
+            + (f"VIOLATED at {r.violating_state}" if r.violated else "ok")
+            for r in rows
+        )
+        _emit(
+            chain(
+                [f"n: {table.n}", f"mode: {mode}", f"checked: {checked}"],
+                lines,
+                [f"violations: {violated}", f"verdict: {verdict}"],
             )
-        lines.append(f"violations: {violated}")
-        lines.append(f"verdict: {verdict}")
-        _emit(lines)
+        )
     return EXIT_NEGATIVE if violated else EXIT_OK
 
 
@@ -241,7 +241,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 "command": "enumerate",
                 "n": n,
                 "count": count,
-                "valuations": [list(map(int, f.values)) for f in valuations],
+                "valuations": (list(map(int, f.values)) for f in valuations),
             }
         )
     else:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import add
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .events import (
     Event,
@@ -150,7 +150,9 @@ class InequalityResult:
 
     label: str
     coefficients: SetFunction
-    per_state: tuple[float, ...]
+    # None on the rows of violated_01_valuations; evaluate_inequality on a
+    # row's coefficients gives it
+    per_state: tuple[float, ...] | None
     min_value: float
     max_value: float
     violated: bool
@@ -161,23 +163,49 @@ def evaluate_inequality(
     f: SetFunction, table: CorrelationTable, label: str | None = None
 ) -> InequalityResult:
     """Evaluate sum_I f(I) p_I(s) per state and flag exits from [0, 1]."""
-    return _evaluate_rows(
-        (f,), table, (label if label is not None else "valuation",)
-    )[0]
+    return _results((f,), table, (label if label is not None else "valuation",))[0]
+
+
+def _results(
+    fs: Sequence[SetFunction],
+    table: CorrelationTable,
+    labels: Sequence[str],
+    violated_only: bool = False,
+) -> list[InequalityResult]:
+    """The result of every row, in input order; with violated_only, of
+    the violated rows only, each with per_state None."""
+    results: list[InequalityResult | None] = [None] * len(fs)
+    for row, per_state, lo, hi, violating_state in _evaluate_rows(fs, table):
+        if violated_only:
+            if violating_state is None:
+                continue
+            per_state = None
+        results[row] = InequalityResult(
+            label=labels[row],
+            coefficients=fs[row],
+            per_state=per_state,
+            min_value=lo,
+            max_value=hi,
+            violated=violating_state is not None,
+            violating_state=violating_state,
+        )
+    return [r for r in results if r is not None]
 
 
 def _evaluate_rows(
-    fs: Sequence[SetFunction], table: CorrelationTable, labels: Sequence[str]
-) -> list[InequalityResult]:
-    """evaluate_inequality for every row, in input order, in one pass.
+    fs: Sequence[SetFunction], table: CorrelationTable
+) -> Iterator[tuple[int, tuple[float, ...], float, float, str | None]]:
+    """(row, per_state, min, max, violating state) for every row of fs.
 
     Each row's value at a state is 0 plus f(I) * p_I(s) for its non-zero
     f(I) in increasing mask order, added left to right. Rows are visited
-    in coefficient order and keep a stack of per-state partial sums, one
-    per mask position, so a row recomputes only the positions from the
-    first coefficient where it differs from the row before it. The sums
-    are the same products added in the same order, bit for bit; a row
-    with no non-zero coefficient is the integer 0 at every state.
+    in coefficient order, and yielded in that order, and keep a stack of
+    per-state partial sums, one per mask position, so a row recomputes
+    only the positions from the first coefficient where it differs from
+    the row before it. The sums are the same products added in the same
+    order, bit for bit; a row with no non-zero coefficient is the integer
+    0 at every state. A caller that drops each per_state holds none of
+    them.
     """
     n = table.n
     top = (1 << n) - 1
@@ -196,10 +224,8 @@ def _evaluate_rows(
     # stack[i] is the current row's partial sum over the first i mask positions
     stack = [(0.0,) * size] * (top + 1)
     previous: tuple[float, ...] = ()
-    results: list[InequalityResult | None] = [None] * len(fs)
     for row in sorted(range(len(fs)), key=lambda r: fs[r].values):
-        f = fs[row]
-        values = f.values
+        values = fs[row].values
         start = 0
         for c, d in zip(values, previous):
             if c != d:
@@ -225,16 +251,7 @@ def _evaluate_rows(
                 if v < -eps or v > 1.0 + eps:
                     violating_state = table.space.labels[k]
                     break
-        results[row] = InequalityResult(
-            label=labels[row],
-            coefficients=f,
-            per_state=per_state,
-            min_value=lo,
-            max_value=hi,
-            violated=violating_state is not None,
-            violating_state=violating_state,
-        )
-    return results
+        yield row, per_state, lo, hi, violating_state
 
 
 def pair_schedule(n: int) -> tuple[tuple[int, int], ...]:
@@ -268,7 +285,7 @@ def check_bell_like(table: CorrelationTable) -> tuple[InequalityResult, ...]:
     n = table.n
     schedule = pair_schedule(n)
     return tuple(
-        _evaluate_rows(
+        _results(
             [pair_inequality(i, j, n) for i, j in schedule],
             table,
             [_row_label(i, j) for i, j in schedule],
@@ -315,11 +332,14 @@ def violated_01_valuations(table: CorrelationTable) -> tuple[InequalityResult, .
     """Every violated 0/1-valuation inequality, labelled g#<packed>.
 
     Rows come in increasing packed order, exactly as evaluating every
-    valuation of ``enumerate_01_valuations`` in turn would report them.
-    The atom masses rule out every state that satisfies the whole list
-    and, at the other states, every valuation whose sum stays in the
-    band; only the remaining candidates are built and decided, all in
-    one ``_evaluate_rows`` pass. Needs every correlation and n <= 4.
+    valuation of ``enumerate_01_valuations`` in turn would report them,
+    except that a row's ``per_state`` is None: ``evaluate_inequality`` on
+    its coefficients gives the sums, with the same min, max and
+    violating state. The atom masses rule out every state that satisfies
+    the whole list and, at the other states, every valuation whose sum
+    stays in the band; only the remaining candidates are built and
+    decided, all in one ``_evaluate_rows`` pass, which keeps no row it
+    does not report. Needs every correlation and n <= 4.
     """
     n = table.n
     if n > ENUMERATION_CAP:
@@ -342,12 +362,15 @@ def violated_01_valuations(table: CorrelationTable) -> tuple[InequalityResult, .
         )
     candidates.discard(0)
     packed_rows = sorted(candidates)
-    results = _evaluate_rows(
-        [valuation_01(packed, n) for packed in packed_rows],
-        table,
-        [f"g#{packed}" for packed in packed_rows],
+    del candidates
+    return tuple(
+        _results(
+            [valuation_01(packed, n) for packed in packed_rows],
+            table,
+            [f"g#{packed}" for packed in packed_rows],
+            violated_only=True,
+        )
     )
-    return tuple(r for r in results if r.violated)
 
 
 def witness_relations(n: int) -> tuple[tuple[str, int, int], ...]:

@@ -157,7 +157,10 @@ def _json_text(value, newline: str = "\n") -> str:
 def _json_chunks(value, newline: str = "\n") -> Iterator[str]:
     """The text of ``_json_text(value)`` in pieces, so that a writer never
     holds the whole document: a non-empty dict item by item, a list of
-    containers one item per piece, anything else as one piece."""
+    containers one item per piece, anything else as one piece. The whole
+    value or a dict item may also be an iterator, such as a generator of
+    report rows: it is rendered as the list of its items would be, one
+    item per piece, and none of them is kept."""
     inner = newline + "  "
     if isinstance(value, dict) and value:
         separator = "{" + inner
@@ -166,12 +169,15 @@ def _json_chunks(value, newline: str = "\n") -> Iterator[str]:
             yield from _json_chunks(item, inner)
             separator = "," + inner
         yield newline + "}"
-    elif isinstance(value, (list, tuple)) and value and _shared_scalar(value) is None:
+    elif isinstance(value, Iterator) or (
+        isinstance(value, (list, tuple)) and value and _shared_scalar(value) is None
+    ):
         separator = "[" + inner
         for item in value:
             yield separator + _json_text(item, inner)
             separator = "," + inner
-        yield newline + "]"
+        # only an empty iterator gets here with no item written
+        yield "[]" if separator[0] == "[" else newline + "]"
     else:
         yield _json_text(value, newline)
 

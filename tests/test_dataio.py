@@ -485,6 +485,14 @@ class TestJsonText:
             assert dataio._json_text(value) == expected
             assert "".join(dataio._json_chunks(value)) == expected
 
+    @given(values=st.lists(JSON_VALUES, max_size=8))
+    def test_an_iterator_renders_as_the_list_of_its_items(self, values):
+        assert "".join(dataio._json_chunks({"k": iter(values)})) == json.dumps(
+            {"k": values}, indent=2
+        )
+        rows = (value for value in values)
+        assert "".join(dataio._json_chunks(rows)) == json.dumps(values, indent=2)
+
     def test_subclasses_render_as_json_renders_them(self):
         class Label(str):
             pass

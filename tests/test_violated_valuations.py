@@ -5,6 +5,7 @@ import functools
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -39,11 +40,12 @@ def all_valuations(n):
 
 
 def fingerprint(rows):
+    """The columns of lister rows; they carry no per_state (it is None)."""
+    assert all(r.per_state is None for r in rows)
     return [
         (
             r.label,
             r.coefficients.values,
-            repr(r.per_state),
             repr(r.min_value),
             repr(r.max_value),
             r.violated,
@@ -75,7 +77,6 @@ def oracle(table):
                 out.append((
                     r.label,
                     r.coefficients.values,
-                    repr(r.per_state),
                     repr(r.min_value),
                     repr(r.max_value),
                     True,
@@ -211,6 +212,35 @@ def test_flat_state_rows():
     assert [r.label for r in rows] == expected
 
 
+def test_lister_rows_hold_no_per_state_sums():
+    # 37 classical states and 3 flat ones, like bell_all's flat n=4 table
+    base = classical_table(4, 40, 17)
+    flat = {3, 19, 30}
+    columns = {
+        mask: [
+            (0.5 if mask.bit_count() == 1 else 0.0) if k in flat else v
+            for k, v in enumerate(event.values)
+        ]
+        for mask, event in base.entries.items()
+    }
+    table = build(base.space, 4, columns)
+    tracemalloc.start()
+    try:
+        rows = violated_01_valuations(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 10240
+    # 10 240 per-state tuples of 40 floats alone would take 12.9 MiB
+    assert peak < 8 << 20
+    assert all(r.per_state is None for r in rows)
+    for r in rows:
+        full = evaluate_inequality(r.coefficients, table)
+        assert repr((full.min_value, full.max_value, full.violating_state)) == repr(
+            (r.min_value, r.max_value, r.violating_state)
+        )
+
+
 def test_single_event_never_violates():
     table = build(space(2), 1, {1: [0.3, 1.0]})
     assert violated_01_valuations(table) == ()
@@ -297,7 +327,7 @@ class TestBatchEvaluator:
                     repr(evaluate_reference(f, table, label))
                     for f, label in zip(rows, labels)
                 ]
-                got = correlations_module._evaluate_rows(rows, table, labels)
+                got = correlations_module._results(rows, table, labels)
                 assert [repr(r) for r in got] == expected, eps
 
     def test_single_rows_match_evaluate_inequality(self):
@@ -327,7 +357,7 @@ class TestBatchEvaluator:
                     expected = (type(exc), str(exc))
                     break
             with pytest.raises((MissingCorrelationError, ValueError)) as err:
-                correlations_module._evaluate_rows(order, sparse, ["x"] * len(order))
+                list(correlations_module._evaluate_rows(order, sparse))
             assert (type(err.value), str(err.value)) == expected
             messages.add(expected)
         assert messages == {
@@ -345,9 +375,9 @@ class TestCallCounts:
         counted = []
         real = correlations_module._evaluate_rows
 
-        def counting(fs, table, labels):
+        def counting(fs, table):
             counted.append(len(fs))
-            return real(fs, table, labels)
+            return real(fs, table)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("enumerate_01_valuations was called")
