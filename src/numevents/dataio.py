@@ -156,11 +156,11 @@ def _json_text(value, newline: str = "\n") -> str:
 
 def _json_chunks(value, newline: str = "\n") -> Iterator[str]:
     """The text of ``_json_text(value)`` in pieces, so that a writer never
-    holds the whole document: a non-empty dict item by item, a list of
-    containers one item per piece, anything else as one piece. The whole
-    value or a dict item may also be an iterator, such as a generator of
-    report rows: it is rendered as the list of its items would be, one
-    item per piece, and none of them is kept."""
+    holds the whole document: a non-empty dict item by item, anything
+    else as one piece. The whole value or a dict item may also be an
+    iterator, such as a generator of report rows: it is rendered as the
+    list of its items would be, one item per piece, and none of them is
+    kept."""
     inner = newline + "  "
     if isinstance(value, dict) and value:
         separator = "{" + inner
@@ -169,9 +169,7 @@ def _json_chunks(value, newline: str = "\n") -> Iterator[str]:
             yield from _json_chunks(item, inner)
             separator = "," + inner
         yield newline + "}"
-    elif isinstance(value, Iterator) or (
-        isinstance(value, (list, tuple)) and value and _shared_scalar(value) is None
-    ):
+    elif isinstance(value, Iterator):
         separator = "[" + inner
         for item in value:
             yield separator + _json_text(item, inner)
@@ -205,41 +203,49 @@ def _parse_value(text: str, line_num: int) -> float:
         ) from None
 
 
+def _columns(rows, parse_key, describe) -> tuple[StateSpace, dict]:
+    """The long-form rows ``(line, (state, key, value))`` as one Event per
+    key, in one pass: keys and states follow first appearance, a repeated
+    (key, state) pair is rejected at its line, and every key needs a value
+    at every state. ``parse_key(text, line)`` reads a key cell, and
+    ``describe(key)`` names the key in messages."""
+    states: dict[str, None] = {}
+    columns: dict = {}
+    for line_num, (state, text, raw) in rows:
+        key = parse_key(text, line_num)
+        value = _parse_value(raw, line_num)
+        states[state] = None
+        column = columns.setdefault(key, {})
+        if state in column:
+            raise DataFormatError(
+                f"line {line_num}: duplicate row for {describe(key)}, state {state!r}"
+            )
+        column[state] = value
+    space = StateSpace(tuple(states))
+    events = {}
+    for key, column in columns.items():
+        try:
+            events[key] = Event(tuple(map(column.__getitem__, space.labels)), space)
+        except KeyError as exc:
+            raise DataFormatError(
+                f"missing value for state {exc.args[0]!r}, {describe(key)}"
+            ) from None
+        except NumericalEventError as exc:
+            raise DataFormatError(f"{describe(key)}: {exc}") from exc
+    return space, events
+
+
 def read_events_csv(source) -> tuple[EventFamily, tuple[str, ...]]:
     """Parse an events CSV; returns the family and the event names.
 
     State and event order follow first appearance in the file.
     """
-    rows = _read_rows(source, ("state", "event", "value"))
-    states: list[str] = []
-    names: list[str] = []
-    cells: dict[tuple[str, str], float] = {}
-    for line_num, (state, name, raw) in rows:
-        value = _parse_value(raw, line_num)
-        if state not in states:
-            states.append(state)
-        if name not in names:
-            names.append(name)
-        key = (state, name)
-        if key in cells:
-            raise DataFormatError(
-                f"line {line_num}: duplicate row for state {state!r}, event {name!r}"
-            )
-        cells[key] = value
-    missing = [
-        (s, e) for e in names for s in states if (s, e) not in cells
-    ]
-    if missing:
-        s, e = missing[0]
-        raise DataFormatError(f"missing value for state {s!r}, event {e!r}")
-    space = StateSpace(tuple(states))
-    events = []
-    for name in names:
-        try:
-            events.append(Event(tuple(cells[(s, name)] for s in states), space))
-        except NumericalEventError as exc:
-            raise DataFormatError(f"event {name!r}: {exc}") from exc
-    return EventFamily(tuple(events)), tuple(names)
+    _, events = _columns(
+        _read_rows(source, ("state", "event", "value")),
+        lambda name, _: name,
+        lambda name: f"event {name!r}",
+    )
+    return EventFamily(tuple(events.values())), tuple(events)
 
 
 def write_events_csv(
@@ -302,45 +308,15 @@ def read_correlations_csv(source) -> CorrelationTable:
     # A table with n >= 10 holds {10}, which no compact spelling can be,
     # so comma-free subsets are compact only if every one of them is.
     compact = all(_is_compact(text) for _, (_, text, _) in rows if "," not in text)
-    states: list[str] = []
-    parsed: list[tuple[int, str, tuple[int, ...], float]] = []
-    n = 0
-    for line_num, (state, subset_text, raw) in rows:
-        indices = _parse_subset(subset_text, line_num, compact)
-        value = _parse_value(raw, line_num)
-        if state not in states:
-            states.append(state)
-        n = max(n, indices[-1])
-        parsed.append((line_num, state, indices, value))
-    space = StateSpace(tuple(states))
-    cells: dict[tuple[int, str], float] = {}
-    for line_num, state, indices, value in parsed:
-        mask = mask_from_indices(indices, n)
-        key = (mask, state)
-        if key in cells:
-            raise DataFormatError(
-                f"line {line_num}: duplicate row for subset "
-                f"{format_subset(mask)}, state {state!r}"
-            )
-        cells[key] = value
-    masks = sorted({mask for mask, _ in cells})
-    entries = {}
-    for mask in masks:
-        missing = [s for s in states if (mask, s) not in cells]
-        if missing:
-            raise DataFormatError(
-                f"subset {format_subset(mask)} has no value for state "
-                f"{missing[0]!r}"
-            )
-        try:
-            entries[mask] = Event(
-                tuple(cells[(mask, s)] for s in states), space
-            )
-        except NumericalEventError as exc:
-            raise DataFormatError(
-                f"subset {format_subset(mask)}: {exc}"
-            ) from exc
-    return CorrelationTable.build(space, n, entries)
+
+    def parse_mask(text: str, line_num: int) -> int:
+        indices = _parse_subset(text, line_num, compact)
+        return mask_from_indices(indices, indices[-1])
+
+    space, entries = _columns(
+        rows, parse_mask, lambda mask: "subset " + format_subset(mask)
+    )
+    return CorrelationTable.build(space, max(entries).bit_length(), entries)
 
 
 def write_correlations_csv(table: CorrelationTable, target) -> None:
@@ -416,10 +392,9 @@ def write_logic_json(
     }
     # rendered before the target is opened, so that a value json cannot
     # encode leaves no truncated file behind
-    pieces = list(_json_chunks(payload))
+    text = _json_text(payload) + "\n"
     with _opened(target, "w") as stream:
-        stream.writelines(pieces)
-        stream.write("\n")
+        stream.write(text)
 
 
 def events_csv_text(events: Iterable[Event], names: Sequence[str]) -> str:

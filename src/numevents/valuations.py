@@ -145,27 +145,27 @@ def elementary_valuation(i_mask: int, n: int) -> SetFunction:
     return SetFunction(n, tuple(vals))
 
 
-def _signed_zeta(h: SetFunction, sign: float) -> SetFunction:
-    # sign is +1.0 or -1.0, so sign * v is exact and x + (-v) equals x - v
-    size = 1 << h.n
-    vals = [0.0] * size
-    vals[1:] = h.values
-    for b in range(h.n):
+def _zeta(vals: list, n: int, sign: float | int) -> list:
+    """Turn vals[m] for every mask m < 2**n (vals[0] is the empty set's),
+    in place, into the sum of sign**|m \\ j| * vals[j] over j within m, and
+    return vals[1:]. Floats take sign +1.0 or -1.0, so sign * v is exact and
+    x + (-v) equals x - v; integers take -1, and their sums are exact."""
+    for b in range(n):
         bit = 1 << b
-        for mask in range(size):
+        for mask in range(1 << n):
             if mask & bit:
                 vals[mask] += sign * vals[mask ^ bit]
-    return SetFunction(h.n, tuple(vals[1:]))
+    return vals[1:]
 
 
 def g_transform(h: SetFunction) -> SetFunction:
     """Partial-sum transform: g(I) = sum of h(J) over non-empty J within I."""
-    return _signed_zeta(h, 1.0)
+    return SetFunction(h.n, _zeta([0.0, *h.values], h.n, 1.0))
 
 
 def f_transform(h: SetFunction) -> SetFunction:
     """Inverse of g_transform: f(I) = sum of h(J)(-1)**|I \\ J| over J within I."""
-    return _signed_zeta(h, -1.0)
+    return SetFunction(h.n, _zeta([0.0, *h.values], h.n, -1.0))
 
 
 def is_bell_valuation(f: SetFunction) -> bool:
@@ -177,14 +177,7 @@ def is_bell_valuation(f: SetFunction) -> bool:
 
 def _moebius_01(packed: int, n: int) -> list[int]:
     """Integer Moebius pass over the 0/1 partial sums packed in the bits."""
-    size = 1 << n
-    vals = [0] + [(packed >> t) & 1 for t in range(size - 1)]
-    for b in range(n):
-        bit = 1 << b
-        for mask in range(size):
-            if mask & bit:
-                vals[mask] -= vals[mask ^ bit]
-    return vals[1:]
+    return _zeta([0] + [(packed >> t) & 1 for t in range((1 << n) - 1)], n, -1)
 
 
 # One float object per value a decoded coefficient can take: a 0/1

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -276,6 +277,38 @@ def test_cli_import_leaves_numpy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert (done.returncode, done.stdout) == (0, "False\n")
+
+
+# The calls between layers that the benchmark's tracer times: names it
+# looks up on numevents.cli (and gfe_closure on numevents.embedding), and
+# methods it wraps on their classes. A refactor that moves one of them
+# makes its layer read as absent.
+TRACED_CLI_NAMES = (
+    "read_events_csv",
+    "read_correlations_csv",
+    "read_logic_json",
+    "EventFamily",
+    "check_bell_like",
+    "violated_01_valuations",
+    "enumerate_01_valuations",
+    "check_concrete_logic",
+    "boolean_by_minima",
+    "classify_embedding",
+)
+
+
+def test_the_traced_call_boundaries_stay_in_place():
+    import numevents.embedding as embedding
+    from numevents.correlations import CorrelationTable
+    from numevents.logic import ConcreteLogic
+
+    absent = [name for name in TRACED_CLI_NAMES if not callable(getattr(cli, name, None))]
+    assert absent == []
+    assert callable(getattr(embedding, "gfe_closure", None))
+    # the tracer times a generator per step
+    assert inspect.isgeneratorfunction(cli.enumerate_01_valuations)
+    assert isinstance(vars(CorrelationTable).get("build"), classmethod)
+    assert inspect.isfunction(vars(ConcreteLogic).get("__init__"))
 
 
 def _write(path, text):

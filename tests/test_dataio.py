@@ -109,7 +109,7 @@ class TestEventsCsv:
         )
         with pytest.raises(DataFormatError) as err:
             read_events_csv(buffer)
-        assert "duplicate" in str(err.value)
+        assert str(err.value) == "line 3: duplicate row for event 'p1', state 's1'"
 
     def test_missing_cell_rejected(self):
         buffer = io.StringIO(
@@ -312,7 +312,7 @@ class TestCorrelationsCsv:
         )
         with pytest.raises(DataFormatError) as err:
             read_correlations_csv(buffer)
-        assert "{2}" in str(err.value)
+        assert str(err.value) == "missing value for state 's2', subset {2}"
 
     def test_monotonicity_still_enforced_at_read_time(self):
         buffer = io.StringIO(
@@ -335,6 +335,34 @@ class TestCorrelationsCsv:
         assert back.n == table.n
         for mask in range(1, 8):
             assert back.event(mask).values == table.event(mask).values
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        (
+            read_events_csv,
+            "state,event,value\ns1,p1,0.5\ns1,p1,0.6\ns2,p1,0.5\ns2,p2,x\n",
+            "line 3: duplicate row for event 'p1', state 's1'",
+        ),
+        (
+            read_correlations_csv,
+            SUBSET_HEADER + "s1,{1},0.5\ns1,{1},0.4\ns1,{2},0.5\ns1,{3},x\n",
+            "line 3: duplicate row for subset {1}, state 's1'",
+        ),
+        (
+            read_correlations_csv,
+            SUBSET_HEADER + "s1,{1},0.5\ns1,{1},0.4\ns1,{2},0.5\ns1,{a},0.5\n",
+            "line 3: duplicate row for subset {1}, state 's1'",
+        ),
+    ],
+    ids=["events-value", "correlations-value", "correlations-subset"],
+)
+def test_readers_report_the_first_offending_line(reader, text, message):
+    """A repeated row on line 3 is reported before a bad cell on line 5."""
+    with pytest.raises(DataFormatError) as err:
+        reader(io.StringIO(text))
+    assert str(err.value) == message
 
 
 class TestLogicJson:

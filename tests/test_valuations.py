@@ -194,7 +194,10 @@ class TestEnumeration:
         entries = (1 << n) - 1
         for packed in range(1 << entries):
             g = SetFunction(n, tuple(float((packed >> t) & 1) for t in range(entries)))
-            assert repr(valuation_01(packed, n)) == repr(f_transform(g)), packed
+            decoded = valuation_01(packed, n)
+            assert repr(decoded) == repr(f_transform(g)), packed
+            if n <= 3:
+                assert list(decoded.values) == direct_f(g.values, n), packed
 
     def test_decoder_above_the_cap_runs_the_pass_without_tables(self, monkeypatch):
         built = []
