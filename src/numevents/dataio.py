@@ -358,15 +358,24 @@ def read_logic_json(source) -> tuple[StateSpace, tuple[Event, ...], tuple[int, .
     if not isinstance(logic_rows, list) or not logic_rows:
         raise DataFormatError("'logic' must be a non-empty list of value rows")
     events = []
+    numbers = {int, float}  # exact types, so json's true and false (bool) fail
     for idx, row in enumerate(logic_rows):
         if not isinstance(row, list) or len(row) != space.size:
             raise DataFormatError(
                 f"logic row {idx} must list {space.size} values"
             )
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row):
+        if not numbers.issuperset(map(type, row)):
             raise DataFormatError(f"logic row {idx} must contain numbers")
         try:
-            events.append(Event(tuple(float(v) for v in row), space))
+            # a list: tuple(map(...)) grows its tuple by realloc, and CPython
+            # would keep up to 2000 of those in its tuple free list
+            values = list(map(float, row))
+        except OverflowError:
+            raise DataFormatError(
+                f"logic row {idx}: integer value outside the float range"
+            ) from None
+        try:
+            events.append(Event(values, space))
         except NumericalEventError as exc:
             raise DataFormatError(f"logic row {idx}: {exc}") from exc
     family = data["family"]

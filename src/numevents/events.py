@@ -114,16 +114,43 @@ class Event:
             raise ValueError(
                 f"expected {self.space.size} values, got {len(raw)}"
             )
-        eps = get_eps()
-        clamped = []
-        for label, item in zip(self.space.labels, raw):
-            v = float(item)
-            if v != v or v < -eps or v > 1.0 + eps:
-                raise ValueRangeError(
-                    f"value {item!r} at state {label} outside [0, 1]"
-                )
-            clamped.append(min(1.0, max(0.0, v)))
-        object.__setattr__(self, "values", tuple(clamped))
+        values = _unit_floats(raw)
+        if values is None:
+            eps = get_eps()
+            clamped = []
+            for label, item in zip(self.space.labels, raw):
+                v = float(item)
+                if v != v or v < -eps or v > 1.0 + eps:
+                    raise ValueRangeError(
+                        f"value {item!r} at state {label} outside [0, 1]"
+                    )
+                clamped.append(min(1.0, max(0.0, v)))
+            values = tuple(clamped)
+        object.__setattr__(self, "values", values)
+
+
+# -0.0 finds 0.0 here too, so the lookup turns it into 0.0
+_SHARED_ENDS = {0.0: 0.0, 1.0: 1.0}
+
+
+def _unit_floats(raw: tuple) -> tuple[float, ...] | None:
+    """The non-empty raw values as floats when all lie in [0, 1], else None.
+
+    Every step runs at C level. The result is what Event's clamping loop
+    gives for such values: each value unchanged, except that -0.0 becomes
+    0.0, as max(0.0, -0.0) does. Like the loop's min and max, it keeps
+    one shared object for each of 0.0 and 1.0, which holds a large
+    two-valued logic's memory down. Any other input returns None, and
+    the loop rejects or clamps it value by value.
+    """
+    try:
+        values = list(map(float, raw))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    total = sum(values)
+    if total != total or min(values) < 0.0 or max(values) > 1.0:
+        return None
+    return tuple(map(_SHARED_ENDS.get, values, values))
 
 
 def zero_event(space: StateSpace) -> Event:

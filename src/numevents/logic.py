@@ -16,6 +16,27 @@ marks the sorted members lacking that state, and the AND of those over
 a member's states is its partner set. Partners are visited lowest
 first, so the gaps keep the order of a loop over all pairs.
 
+Validation runs the kernel with only the atoms (minimal non-zero
+members) on its frontier, by this lemma. Let L be a finite set of masks
+that holds 0 and is closed under complement, and suppose a | x is in L
+for every a in L and every atom x disjoint from a. Take a non-zero b in
+L and an atom x inside b. The complement b' is disjoint from x, so
+b' | x is in L, and so is its complement b - x. As b - x has fewer
+states than b, induction makes b a disjoint union of atoms. Adding
+those atoms to a disjoint a one at a time keeps every step in L, so
+a | b is in L: L is closed under disjoint unions. (In orthomodular
+terms, every element of a finite orthomodular poset is an orthogonal
+sum of atoms; Ptak and Pulmannova, *Orthomodular Structures as Quantum
+Logics*, 1991.)
+
+So a set with L members, A of them atoms, costs O(L*A) subset tests to
+find the atoms (``_atoms``) plus one kernel pass over the pairs of an
+atom and a member disjoint from it, instead of a pass over every
+disjoint pair. Only a set that fails runs the full pass, which names
+the lexicographically first missing union as before. On the 14-state
+chain logic (3432 members) the 49 atoms meet 45 276 disjoint members,
+against 136 417 disjoint pairs of members.
+
 Two independent routes decide whether a family sits inside a Boolean
 subalgebra of a logic P:
 
@@ -32,6 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Container, Iterable, Iterator
 
 from .correlations import CorrelationTable, witnesses_from_correlations
@@ -229,13 +251,39 @@ def _gaps(
             i = digits.find("1", i + 1)
 
 
+def _atoms(members: Iterable[int]) -> list[int]:
+    """The minimal non-zero masks among members, ascending.
+
+    A member that is not minimal holds a minimal one of smaller popcount,
+    so each member is tested only against the atoms of smaller popcount:
+    m holds a exactly when m | a == m.
+    """
+    atoms: list[int] = []
+    by_size = sorted(filter(None, members), key=int.bit_count)
+    for _size, group in groupby(by_size, int.bit_count):
+        # atoms holds only smaller ones here; with none, as in a horizontal
+        # sum of Boolean blocks, the whole group is atoms
+        atoms += [m for m in group if m not in map(m.__or__, atoms)] if atoms else group
+    return sorted(atoms)
+
+
 def _first_defect(masks: Container[int], full: int) -> tuple[str, tuple[int, ...]] | None:
-    """First violated axiom among A1-A3 with its offender masks, or None."""
+    """First violated axiom among A1-A3 with its offender masks, or None.
+
+    With A1 and A2 holding, the unions with atoms decide A3 (see the
+    module docstring); only when one is missing does the pass over all
+    members run, to name the smallest pair.
+    """
     if 0 not in masks:
         return "A1", ()
-    for axiom, _missing, offenders in _gaps(masks, full, sorted(masks)):
-        return axiom, offenders
-    return None
+    members = sorted(masks)
+    for m in members:
+        if (m ^ full) not in masks:
+            return "A2", (m,)
+    if next(_gaps(masks, full, _atoms(members)), None) is None:
+        return None
+    axiom, _missing, offenders = next(_gaps(masks, full, members))
+    return axiom, offenders
 
 
 def gfe_closure(

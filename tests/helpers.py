@@ -12,6 +12,7 @@ from numevents import (
     Event,
     InequalityResult,
     StateSpace,
+    ValueRangeError,
     get_eps,
     gfe_closure,
     mask_event,
@@ -52,6 +53,32 @@ def gaps_reference(masks, full, frontier):
         for b in members:
             if a & b == 0 and (a < b or b not in fresh) and (a | b) not in masks:
                 yield "A3", a | b, (a, b) if a < b else (b, a)
+
+
+def minimal_members(masks):
+    """The non-zero masks with no other non-zero mask inside, ascending."""
+    return sorted(
+        m for m in masks if m and not any(b and b != m and b & m == b for b in masks)
+    )
+
+
+def event_values_reference(values, space):
+    """The values Event stores, by the per-value clamping loop, or its error."""
+    raw = tuple(values)
+    if len(raw) != space.size:
+        raise ValueError(
+            f"expected {space.size} values, got {len(raw)}"
+        )
+    eps = get_eps()
+    clamped = []
+    for label, item in zip(space.labels, raw):
+        v = float(item)
+        if v != v or v < -eps or v > 1.0 + eps:
+            raise ValueRangeError(
+                f"value {item!r} at state {label} outside [0, 1]"
+            )
+        clamped.append(min(1.0, max(0.0, v)))
+    return tuple(clamped)
 
 
 def evaluate_reference(f, table, label=None):

@@ -263,7 +263,9 @@ def test_pairs_only_flag_is_gone(capsys):
 
 def test_boolean_checks_the_logic_once(kernel_frontiers, capsys):
     assert main(["--format", "json", "boolean", data("power_logic.json")]) == 0
-    assert kernel_frontiers == [json.loads(capsys.readouterr().out)["logic_size"]]
+    # one kernel call, over the three singletons of the 8-member power set
+    assert kernel_frontiers == [3]
+    assert json.loads(capsys.readouterr().out)["logic_size"] == 8
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -440,6 +442,12 @@ class TestErrorMessages:
         argv = ["bell", path] + (["--all-valuations"] if all_valuations else [])
         err = self.run_error(argv, capsys)
         assert err == "error: missing correlations: {1,2}, {1,3}, {2,3}, {1,2,3}\n"
+
+    def test_logic_value_beyond_the_float_range(self, tmp_path, capsys):
+        logic = '{"states": ["s1"], "logic": [[0], [1%s]], "family": [0]}' % ("0" * 400)
+        path = _write(tmp_path / "logic.json", logic)
+        err = self.run_error(["boolean", path], capsys)
+        assert err == "error: logic row 1: integer value outside the float range\n"
 
     def test_unparsable_logic_json(self, tmp_path, capsys):
         path = _write(tmp_path / "logic.json", '{"states": [')

@@ -430,6 +430,10 @@ class TestLogicJson:
                 "logic row 1: value 1.5 at state s1 outside [0, 1]",
             ),
             (
+                {"states": ["s1", "s2"], "logic": [[0, 0], [1, -(10**400)]], "family": [0]},
+                "logic row 1: integer value outside the float range",
+            ),
+            (
                 {"states": ["s1"], "logic": [[0], [1]], "family": [1.0]},
                 "'family' must be a list of integers",
             ),
@@ -445,6 +449,7 @@ class TestLogicJson:
             "no-logic",
             "logic-object",
             "member-value-out-of-range",
+            "member-value-beyond-float",
             "float-family",
             "bool-family",
         ],

@@ -10,6 +10,7 @@ from numevents import (
     EventFamily,
     NotComparableError,
     NotOrthogonalError,
+    NumericalEventError,
     SpaceMismatchError,
     StateSpace,
     ValueRangeError,
@@ -28,7 +29,7 @@ from numevents import (
     set_eps,
     zero_event,
 )
-from helpers import GRID, space
+from helpers import GRID, event_values_reference, space
 
 SP2 = space(2)
 SP3 = space(3)
@@ -89,6 +90,43 @@ class TestEventConstruction:
     def test_zero_and_one(self):
         assert zero_event(SP3).values == (0.0, 0.0, 0.0)
         assert one_event(SP3).values == (1.0, 1.0, 1.0)
+
+
+# values the clamping loop treats each in its own way: signed zeros, NaN,
+# the infinities, ints, values within tolerance of 0 and 1, and strings
+LOOP_VALUES = st.one_of(
+    st.sampled_from(
+        [-0.0, 0.0, 1.0, 5e-324, -5e-324, float("nan"), float("inf"), -float("inf")]
+    ),
+    st.integers(-2, 2),
+    st.floats(-2e-9, 2e-9),
+    st.floats(1.0 - 2e-9, 1.0 + 2e-9),
+    st.floats(0.0, 1.0),
+    st.sampled_from(["0.5", " 1 ", "-0.0", "1e-10", "nan", "-inf", "x", "", "0x1"]),
+)
+
+
+@st.composite
+def loop_inputs(draw):
+    num_states = draw(st.integers(1, 4))
+    length = draw(st.one_of(st.just(num_states), st.integers(0, 5)))
+    return num_states, draw(st.lists(LOOP_VALUES, min_size=length, max_size=length))
+
+
+# set_eps rejects 0, so the smallest positive float stands in for it
+@pytest.mark.parametrize("eps", [5e-324, 1e-9])
+@given(case=loop_inputs())
+def test_event_stores_what_the_clamping_loop_gives(eps, case):
+    set_eps(eps)
+    num_states, values = case
+    sp = space(num_states)
+    outcomes = []
+    for build in (event_values_reference, lambda v, s: Event(v, s).values):
+        try:
+            outcomes.append(repr(build(tuple(values), sp)))
+        except (NumericalEventError, ValueError, TypeError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 class TestPointwiseOps:

@@ -29,8 +29,15 @@ from numevents import (
     pointwise_min,
     zero_event,
 )
-from helpers import closure_oracle, gaps_reference, nontrivial_masks, random_logic, space
-from numevents.logic import _gaps
+from helpers import (
+    closure_oracle,
+    gaps_reference,
+    minimal_members,
+    nontrivial_masks,
+    random_logic,
+    space,
+)
+from numevents.logic import _atoms, _first_defect, _gaps
 
 SP3 = space(3)
 SP4 = space(4)
@@ -233,7 +240,8 @@ class TestKernelAgainstOracle:
 
     def test_constructor_checks_once(self, kernel_frontiers):
         ConcreteLogic(space=EVEN_LOGIC.space, masks=EVEN_LOGIC.masks)
-        assert kernel_frontiers == [len(EVEN_LOGIC)]
+        # one kernel call, over the four two-point members
+        assert kernel_frontiers == [4]
 
 
 
@@ -275,6 +283,71 @@ class TestPartnerIndex:
         assert min(seen.values()) >= 100, seen
 
 
+def _horizontal_sum(k, num_states):
+    """MO_k: 0, 1 and k complementary pairs of half-size masks, none of
+    them disjoint from another but its own complement."""
+    full = (1 << num_states) - 1
+    halves = [m for m in range(full + 1) if bin(m).count("1") * 2 == num_states]
+    pairs = [m for m in halves if m < m ^ full][:k]
+    return frozenset([0, full, *pairs, *(m ^ full for m in pairs)])
+
+
+def _route_cases():
+    """(masks, full) for the atom route: seeded sets, closed and broken,
+    complement-closed sets, and small hand-made logics and near-logics."""
+    for num_states, masks in _mask_sets(31, 300, 6):
+        yield masks, (1 << num_states) - 1
+    for masks, full, _frontier in _kernel_cases(32, 600):
+        yield frozenset(masks), full
+    for num_states in range(1, 7):
+        full = (1 << num_states) - 1
+        yield frozenset([0]), full
+        yield frozenset([0, full]), full
+        yield frozenset(range(full + 1)), full
+        # missing exactly one complement
+        yield frozenset(range(full + 1)) - {1}, full
+        # complement-closed, missing the unions that make a pair
+        if num_states > 3:
+            for pair in (m for m in range(full) if bin(m).count("1") == 2):
+                yield frozenset(range(full + 1)) - {pair, pair ^ full}, full
+    yield frozenset([1]), 1
+    # complement-closed, so only a missing union can fail
+    rng = random.Random(33)
+    for _ in range(300):
+        full = (1 << rng.randint(2, 6)) - 1
+        picks = rng.sample(range(full + 1), rng.randint(1, min(12, full + 1)))
+        yield frozenset([0, full, *picks, *(m ^ full for m in picks)]), full
+    for k in range(1, 11):
+        yield _horizontal_sum(k, 6), 63
+        # without one member, its complement is missing
+        yield _horizontal_sum(k, 6) - {0b000111}, 63
+    # complement-closed, and only the atoms 0001 and 0010 lack their union
+    yield frozenset([0, 0b0001, 0b1110, 0b0010, 0b1101, 0b1111]), 0b1111
+
+
+class TestAtomRoute:
+    def test_atoms_are_the_minimal_members(self):
+        for masks, _full in _route_cases():
+            assert _atoms(masks) == minimal_members(masks)
+
+    def test_first_defect_is_the_first_reference_gap(self):
+        seen = Counter()
+        for masks, full in _route_cases():
+            if 0 not in masks:
+                expected = ("A1", ())
+            else:
+                gap = next(gaps_reference(masks, full, sorted(masks)), None)
+                expected = gap and (gap[0], gap[2])
+            assert _first_defect(masks, full) == expected
+            seen[expected and expected[0]] += 1
+        assert min(seen[axiom] for axiom in (None, "A1", "A2", "A3")) >= 20, seen
+
+    def test_only_a_failing_set_runs_the_full_pass(self, kernel_frontiers):
+        masks = frozenset([0, 0b0001, 0b1110, 0b0010, 0b1101, 0b1111])
+        assert _first_defect(masks, 0b1111) == ("A3", (0b0001, 0b0010))
+        assert kernel_frontiers == [2, 6]
+
+
 def _balanced(chain):
     """Masks with as many even as odd chain positions."""
     even = sum(1 << s for s in chain[0::2])
@@ -306,6 +379,16 @@ class TestChainAtBenchmarkScale:
         assert len(balanced) == math.comb(self.STATES, self.STATES // 2) == 3432
         assert logic.masks == balanced
         assert len(ConcreteLogic(space=sp, masks=balanced)) == 3432
+
+    def test_constructor_checks_the_49_atoms_once(self, kernel_frontiers):
+        sp = space(self.STATES)
+        pairs = [(1 << a) | (1 << b) for a, b in zip(self.CHAIN, self.CHAIN[1:])]
+        logic = gfe_closure([mask_event(m, sp) for m in pairs], sp)
+        assert len(logic) == 3432
+        kernel_frontiers.clear()
+        ConcreteLogic(space=sp, masks=logic.masks)
+        # the atoms pair one even with one odd chain position: 7 * 7
+        assert kernel_frontiers == [49]
 
     @pytest.mark.parametrize("removal", ["member", "complement pair", "one"])
     def test_broken_chain_logic_reports_the_first_reference_gap(self, removal):
