@@ -88,14 +88,6 @@ from .correlations import (
     witness_relations,
     witnesses_from_correlations,
 )
-from .fixtures import (
-    BooleanMeasureAlgebra,
-    HilbertFixture,
-    gen_boolean_algebra,
-    gen_concrete_logic,
-    gen_hilbert_fixture,
-    hilbert_events,
-)
 from .dataio import (
     DataFormatError,
     correlations_csv_text,
@@ -109,3 +101,25 @@ from .dataio import (
 )
 
 __version__ = "0.1.0"
+
+# The fixtures load on first use, so no CLI call compiles them (PEP 562)
+_FIXTURES = (
+    "BooleanMeasureAlgebra",
+    "HilbertFixture",
+    "gen_boolean_algebra",
+    "gen_concrete_logic",
+    "gen_hilbert_fixture",
+    "hilbert_events",
+)
+
+
+def __getattr__(name: str):
+    if name in _FIXTURES:
+        from . import fixtures
+
+        return getattr(fixtures, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_FIXTURES])

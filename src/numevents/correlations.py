@@ -32,7 +32,6 @@ still the same products added in the same order as a row on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from operator import add
 from types import MappingProxyType
@@ -44,6 +43,7 @@ from .events import (
     NumericalEventError,
     SpaceMismatchError,
     StateSpace,
+    _Record,
     difference,
     leq,
 )
@@ -85,13 +85,24 @@ class InequalityViolatedError(NumericalEventError):
     """An operation required a table with no violated inequality."""
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationTable:
+class CorrelationTable(_Record):
     """Events p_I per non-empty index subset I, keyed by bitmask."""
 
+    __slots__ = ("space", "n", "entries")
     space: StateSpace
     n: int
     entries: Mapping[int, Event]
+
+    # a table is equal only to itself
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self, space: StateSpace, n: int, entries: Mapping[int, Event]
+    ) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def build(
@@ -144,10 +155,18 @@ class CorrelationTable:
         return EventFamily(tuple(self.entries[1 << i] for i in range(self.n)))
 
 
-@dataclass(frozen=True, slots=True)
-class InequalityResult:
+class InequalityResult(_Record):
     """Evaluation of one valuation against a correlation table."""
 
+    __slots__ = (
+        "label",
+        "coefficients",
+        "per_state",
+        "min_value",
+        "max_value",
+        "violated",
+        "violating_state",
+    )
     label: str
     coefficients: SetFunction
     # None on the rows of violated_01_valuations; evaluate_inequality on a
@@ -157,6 +176,24 @@ class InequalityResult:
     max_value: float
     violated: bool
     violating_state: str | None
+
+    def __init__(
+        self,
+        label: str,
+        coefficients: SetFunction,
+        per_state: tuple[float, ...] | None,
+        min_value: float,
+        max_value: float,
+        violated: bool,
+        violating_state: str | None,
+    ) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "per_state", per_state)
+        object.__setattr__(self, "min_value", min_value)
+        object.__setattr__(self, "max_value", max_value)
+        object.__setattr__(self, "violated", violated)
+        object.__setattr__(self, "violating_state", violating_state)
 
 
 def evaluate_inequality(

@@ -11,14 +11,13 @@ covers stay undecided rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .events import (
     DuplicateEventError,
     Event,
     EventFamily,
     ImproperEventError,
     NotComparableError,
+    _Record,
     approx_equal,
     complement,
     difference,
@@ -48,12 +47,16 @@ UNDECIDED = "UNDECIDED"
 LabeledEvent = tuple[str, Event]
 
 
-@dataclass(frozen=True, slots=True)
-class Container:
+class Container(_Record):
     """Descriptor of a smallest known containing algebra."""
 
+    __slots__ = ("kind", "size")
     kind: str  # "MO" | "BOOLEAN_8" | "GFE_CLOSURE"
-    size: int | None = None
+    size: int | None
+
+    def __init__(self, kind: str, size: int | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "size", size)
 
     def __str__(self) -> str:
         if self.kind == "MO":
@@ -63,12 +66,29 @@ class Container:
         return self.kind
 
 
-@dataclass(slots=True)
-class EmbeddingReport:
+class EmbeddingReport(_Record):
+    __slots__ = ("verdict", "container", "reasons", "witnesses")
     verdict: str
     container: Container | None
     reasons: tuple[str, ...]
     witnesses: tuple[LabeledEvent, ...]
+
+    # mutable, so unhashable
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        verdict: str,
+        container: Container | None,
+        reasons: tuple[str, ...],
+        witnesses: tuple[LabeledEvent, ...],
+    ) -> None:
+        self.verdict = verdict
+        self.container = container
+        self.reasons = reasons
+        self.witnesses = witnesses
 
 
 def _labeled(family: EventFamily, with_complements: bool) -> list[LabeledEvent]:

@@ -14,7 +14,6 @@ of the interval; anything further out is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .tolerance import get_eps
@@ -82,14 +81,50 @@ class BudgetExceededError(NumericalEventError):
     """A bounded search or closure ran out of its configured budget."""
 
 
-@dataclass(frozen=True, slots=True)
-class StateSpace:
+class _Record:
+    """An immutable record whose fields are its __slots__, in constructor order.
+
+    Records compare and hash by their field values, and only with their
+    own class; repr is ``Name(field=value, ...)``, and copy and pickle
+    rebuild a record through its constructor. A mutable record puts
+    object's __setattr__ and __delattr__ back and sets __hash__ to None.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class StateSpace(_Record):
     """Ordered, distinct labels for the finitely many states of a system."""
 
+    __slots__ = ("labels",)
     labels: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        labels = tuple(str(x) for x in self.labels)
+    def __init__(self, labels: tuple[str, ...]) -> None:
+        labels = tuple(str(x) for x in labels)
         if not labels:
             raise ValueError("state space needs at least one state")
         if len(set(labels)) != len(labels):
@@ -101,24 +136,22 @@ class StateSpace:
         return len(self.labels)
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(_Record):
     """One probability value per state, clamped to [0, 1] on construction."""
 
+    __slots__ = ("values", "space")
     values: tuple[float, ...]
     space: StateSpace
 
-    def __post_init__(self) -> None:
-        raw = tuple(self.values)
-        if len(raw) != self.space.size:
-            raise ValueError(
-                f"expected {self.space.size} values, got {len(raw)}"
-            )
+    def __init__(self, values: tuple[float, ...], space: StateSpace) -> None:
+        raw = tuple(values)
+        if len(raw) != space.size:
+            raise ValueError(f"expected {space.size} values, got {len(raw)}")
         values = _unit_floats(raw)
         if values is None:
             eps = get_eps()
             clamped = []
-            for label, item in zip(self.space.labels, raw):
+            for label, item in zip(space.labels, raw):
                 v = float(item)
                 if v != v or v < -eps or v > 1.0 + eps:
                     raise ValueRangeError(
@@ -127,6 +160,7 @@ class Event:
                 clamped.append(min(1.0, max(0.0, v)))
             values = tuple(clamped)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "space", space)
 
 
 # -0.0 finds 0.0 here too, so the lookup turns it into 0.0
@@ -230,14 +264,14 @@ def is_two_valued(p: Event) -> bool:
     return all(v <= eps or v >= 1.0 - eps for v in p.values)
 
 
-@dataclass(frozen=True, slots=True)
-class EventFamily:
+class EventFamily(_Record):
     """Finite ordered family of pairwise distinct events on one space."""
 
+    __slots__ = ("events",)
     events: tuple[Event, ...]
 
-    def __post_init__(self) -> None:
-        events = tuple(self.events)
+    def __init__(self, events: tuple[Event, ...]) -> None:
+        events = tuple(events)
         if not events:
             raise ValueError("family needs at least one event")
         space = events[0].space

@@ -8,11 +8,10 @@ arbitrary two-valued seeds into concrete logics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .correlations import CorrelationTable
-from .events import Event, EventFamily, StateSpace
+from .events import Event, EventFamily, StateSpace, _Record
 from .logic import ConcreteLogic, gfe_closure
 
 # numpy is imported inside the functions that use it, so importing the
@@ -30,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BooleanMeasureAlgebra:
+class BooleanMeasureAlgebra(_Record):
     """A probability measure per state on the field over k atoms.
 
     measures[s][a] is the weight of atom a in state s; each row sums
@@ -39,23 +37,32 @@ class BooleanMeasureAlgebra:
     from the algebra is classical.
     """
 
+    __slots__ = ("atoms", "space", "measures")
     atoms: tuple[str, ...]
     space: StateSpace
     measures: tuple[tuple[float, ...], ...]
 
-    def __post_init__(self) -> None:
-        k = len(self.atoms)
+    def __init__(
+        self,
+        atoms: tuple[str, ...],
+        space: StateSpace,
+        measures: tuple[tuple[float, ...], ...],
+    ) -> None:
+        k = len(atoms)
         if k < 1:
             raise ValueError("need at least one atom")
-        if len(self.measures) != self.space.size:
+        if len(measures) != space.size:
             raise ValueError("one measure row per state required")
-        for row in self.measures:
+        for row in measures:
             if len(row) != k:
                 raise ValueError("measure row length must match atom count")
             if any(v < 0.0 for v in row):
                 raise ValueError("atom weights must be non-negative")
             if abs(sum(row) - 1.0) > 1e-6:
                 raise ValueError("measure rows must sum to 1")
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "measures", measures)
 
     @property
     def k(self) -> int:
@@ -113,13 +120,27 @@ def gen_boolean_algebra(k: int, num_states: int, seed: int) -> BooleanMeasureAlg
     )
 
 
-@dataclass(frozen=True, eq=False)
-class HilbertFixture:
+class HilbertFixture(_Record):
     """Orthogonal projectors and unit state vectors in dimension dim."""
 
+    __slots__ = ("dim", "projectors", "state_vectors")
     dim: int
     projectors: tuple[np.ndarray, ...]
     state_vectors: tuple[np.ndarray, ...]
+
+    # arrays have no single truth value, so a fixture is equal only to itself
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        dim: int,
+        projectors: tuple[np.ndarray, ...],
+        state_vectors: tuple[np.ndarray, ...],
+    ) -> None:
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "projectors", projectors)
+        object.__setattr__(self, "state_vectors", state_vectors)
 
 
 def gen_hilbert_fixture(

@@ -8,13 +8,14 @@ is disjointness, and orthogonal sum is union.
 
 One semi-naive kernel, ``_gaps``, finds every missing complement (A2)
 or disjoint union (A3). It decides the axioms for all three users:
-``gfe_closure`` adds its gaps round by round, while ``ConcreteLogic``
-validation and ``check_concrete_logic`` report its first gap. A closure
-built by the kernel is not checked a second time. The kernel pairs each
-member only with the members disjoint from it: one bitset per state
-marks the sorted members lacking that state, and the AND of those over
-a member's states is its partner set. Partners are visited lowest
-first, so the gaps keep the order of a loop over all pairs.
+``gfe_closure`` adds its gaps round by round, ``ConcreteLogic``
+validation reports the axiom of its first gap, and
+``check_concrete_logic`` reports the first gap with its offenders. A
+closure built by the kernel is not checked a second time. The kernel
+pairs each member only with the members disjoint from it: one bitset
+per state marks the sorted members lacking that state, and the AND of
+those over a member's states is its partner set. Partners are visited
+lowest first, so the gaps keep the order of a loop over all pairs.
 
 Validation runs the kernel with only the atoms (minimal non-zero
 members) on its frontier, by this lemma. Let L be a finite set of masks
@@ -32,8 +33,9 @@ Logics*, 1991.)
 So a set with L members, A of them atoms, costs O(L*A) subset tests to
 find the atoms (``_atoms``) plus one kernel pass over the pairs of an
 atom and a member disjoint from it, instead of a pass over every
-disjoint pair. Only a set that fails runs the full pass, which names
-the lexicographically first missing union as before. On the 14-state
+disjoint pair. A set that fails needs the full pass only to name the
+lexicographically first missing union, so only ``check_concrete_logic``
+runs it; ``ConcreteLogic`` stops at the atom pass. On the 14-state
 chain logic (3432 members) the 49 atoms meet 45 276 disjoint members,
 against 136 417 disjoint pairs of members.
 
@@ -52,7 +54,6 @@ subalgebra of a logic P:
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Container, Iterable, Iterator
 
@@ -65,6 +66,7 @@ from .events import (
     NumericalEventError,
     SpaceMismatchError,
     StateSpace,
+    _Record,
     approx_equal,
     complement,
     is_two_valued,
@@ -124,34 +126,41 @@ def mask_event(mask: int, space: StateSpace) -> Event:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class LogicDefect:
+class LogicDefect(_Record):
     """A violated closure axiom with the offending members.
 
     axiom is one of 'two-valued', 'A1' (zero member), 'A2' (complement),
     'A3' (orthogonal sum).
     """
 
+    __slots__ = ("axiom", "detail", "offenders")
     axiom: str
     detail: str
     offenders: tuple[Event, ...]
 
+    def __init__(self, axiom: str, detail: str, offenders: tuple[Event, ...]) -> None:
+        object.__setattr__(self, "axiom", axiom)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "offenders", offenders)
 
-@dataclass(frozen=True)
-class ConcreteLogic:
+
+class ConcreteLogic(_Record):
     """A closed set of two-valued events, stored as state-subset masks."""
 
+    __slots__ = ("space", "masks")
     space: StateSpace
     masks: frozenset[int]
 
-    def __post_init__(self) -> None:
-        full = (1 << self.space.size) - 1
-        if any(not 0 <= m <= full for m in self.masks):
+    def __init__(self, space: StateSpace, masks: frozenset[int]) -> None:
+        full = (1 << space.size) - 1
+        if any(not 0 <= m <= full for m in masks):
             raise ValueError("mask outside the state space")
-        defect = _first_defect(self.masks, full)
+        defect = _first_defect(masks, full, name_pair=False)
         if defect is not None:
             axiom = defect[0]
             raise ValueError(f"closure axiom {axiom} violated: {_AXIOM_DETAIL[axiom]}")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "masks", masks)
 
     @classmethod
     def _closed(cls, space: StateSpace, masks: Iterable[int]) -> "ConcreteLogic":
@@ -223,11 +232,7 @@ def _gaps(
     span = 0
     for m in members:
         span |= m
-    # digit rows are written highest member first, so bit i is members[i]
-    outside = [
-        int("".join(["0" if m >> s & 1 else "1" for m in reversed(members)]), 2)
-        for s in range(span.bit_length())
-    ]
+    outside = _outside(members, span.bit_length())
     fresh = set(frontier)
     stale = int(
         "".join(["0" if m in fresh else "1" for m in reversed(members)]) or "0", 2
@@ -251,6 +256,18 @@ def _gaps(
             i = digits.find("1", i + 1)
 
 
+def _outside(members: list[int], width: int) -> list[int]:
+    """Per state s below width, the bitset of the sorted members (all
+    below 2**width) that lack s: bit i stands for members[i]. No members
+    give no rows."""
+    # one row of binary digits per member, highest member first; the
+    # column for state s is a row of the transpose, counted from the right
+    top = 1 << width
+    columns = zip(*[bin(m | top)[3:] for m in reversed(members)])
+    every = (1 << len(members)) - 1
+    return [int("".join(column), 2) ^ every for column in columns][::-1]
+
+
 def _atoms(members: Iterable[int]) -> list[int]:
     """The minimal non-zero masks among members, ascending.
 
@@ -267,12 +284,15 @@ def _atoms(members: Iterable[int]) -> list[int]:
     return sorted(atoms)
 
 
-def _first_defect(masks: Container[int], full: int) -> tuple[str, tuple[int, ...]] | None:
+def _first_defect(
+    masks: Container[int], full: int, name_pair: bool = True
+) -> tuple[str, tuple[int, ...]] | None:
     """First violated axiom among A1-A3 with its offender masks, or None.
 
     With A1 and A2 holding, the unions with atoms decide A3 (see the
-    module docstring); only when one is missing does the pass over all
-    members run, to name the smallest pair.
+    module docstring); only when one is missing, and name_pair is set,
+    does the pass over all members run, to name the smallest pair.
+    Without name_pair an A3 defect has no offenders.
     """
     if 0 not in masks:
         return "A1", ()
@@ -282,6 +302,8 @@ def _first_defect(masks: Container[int], full: int) -> tuple[str, tuple[int, ...
             return "A2", (m,)
     if next(_gaps(masks, full, _atoms(members)), None) is None:
         return None
+    if not name_pair:
+        return "A3", ()
     axiom, _missing, offenders = next(_gaps(masks, full, members))
     return axiom, offenders
 
@@ -345,13 +367,18 @@ def is_concrete_logic(events: Iterable[Event]) -> bool:
     return check_concrete_logic(events) is None
 
 
-@dataclass(frozen=True, slots=True)
-class CommuteWitness:
+class CommuteWitness(_Record):
     """An element a with a <= f <= a + g <= 1."""
 
+    __slots__ = ("a", "f", "g")
     a: Event
     f: Event
     g: Event
+
+    def __init__(self, a: Event, f: Event, g: Event) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
 
 
 def commutation_chain_holds(a: Event, f: Event, g: Event) -> bool:
@@ -412,13 +439,28 @@ def commute_witness(
     return None
 
 
-@dataclass(slots=True)
-class BooleanVerdict:
+class BooleanVerdict(_Record):
     """Outcome of the minima criterion on one family."""
 
+    __slots__ = ("boolean", "missing_minimum", "witnesses")
     boolean: bool
     missing_minimum: tuple[int, ...] | None
     witnesses: dict[str, Event] | None
+
+    # mutable, so unhashable
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        boolean: bool,
+        missing_minimum: tuple[int, ...] | None,
+        witnesses: dict[str, Event] | None,
+    ) -> None:
+        self.boolean = boolean
+        self.missing_minimum = missing_minimum
+        self.witnesses = witnesses
 
 
 def boolean_by_minima(logic: ConcreteLogic, family: EventFamily) -> BooleanVerdict:

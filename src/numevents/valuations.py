@@ -13,12 +13,11 @@ stores one coefficient per mask, in increasing mask order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from operator import add
 from typing import Iterator, Mapping
 
-from .events import BudgetExceededError
+from .events import BudgetExceededError, _Record
 from .tolerance import get_eps
 
 __all__ = [
@@ -77,30 +76,31 @@ def subset_labels(mask: int) -> str:
     return "".join(str(i) for i in indices_from_mask(mask))
 
 
-@dataclass(frozen=True, slots=True)
-class SetFunction:
+class SetFunction(_Record):
     """Real coefficients on all non-empty subsets of {1, ..., n}.
 
     values[m - 1] is the coefficient of the subset with bitmask m.
     """
 
+    __slots__ = ("n", "values")
     n: int
     values: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= 16:
-            raise ValueError(f"n must lie in 1..16, got {self.n}")
-        vals = tuple(map(float, self.values))
-        if len(vals) != (1 << self.n) - 1:
+    def __init__(self, n: int, values: tuple[float, ...]) -> None:
+        if not 1 <= n <= 16:
+            raise ValueError(f"n must lie in 1..16, got {n}")
+        vals = tuple(map(float, values))
+        if len(vals) != (1 << n) - 1:
             raise ValueError(
-                f"expected {(1 << self.n) - 1} coefficients for n={self.n}, got {len(vals)}"
+                f"expected {(1 << n) - 1} coefficients for n={n}, got {len(vals)}"
             )
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", vals)
 
     @classmethod
     def _decoded(cls, n: int, values: tuple[float, ...]) -> "SetFunction":
         # a tuple of 2**n - 1 floats for 1 <= n <= 16, as valuation_01's
-        # tables make it; skips the checks and conversion in __post_init__
+        # tables make it; skips the checks and conversion in __init__
         f = object.__new__(cls)
         object.__setattr__(f, "n", n)
         object.__setattr__(f, "values", values)

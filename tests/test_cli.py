@@ -10,12 +10,15 @@ import pytest
 import numevents
 import numevents.cli as cli
 from numevents import (
+    StateSpace,
     count_01_valuations,
     enumerate_01_valuations,
     format_subset,
     get_eps,
+    mask_event,
     read_correlations_csv,
     violated_01_valuations,
+    write_logic_json,
 )
 from numevents.cli import main
 from conftest import DATA_DIR, GOLDEN_DIR
@@ -268,17 +271,39 @@ def test_boolean_checks_the_logic_once(kernel_frontiers, capsys):
     assert json.loads(capsys.readouterr().out)["logic_size"] == 8
 
 
+def test_boolean_runs_the_full_pass_once_on_a_logic_failing_a3(
+    kernel_frontiers, tmp_path, capsys
+):
+    # the power set of four states without {s1,s2} and its complement
+    sp = StateSpace(("s1", "s2", "s3", "s4"))
+    path = str(tmp_path / "broken.json")
+    write_logic_json(sp, [mask_event(m, sp) for m in range(16) if m not in (3, 12)], [1], path)
+    assert main(["boolean", path]) == 1
+    # the constructor's atom pass, then check_concrete_logic's atom pass
+    # and the full pass that names the first pair
+    assert kernel_frontiers == [4, 4, 14]
+    assert capsys.readouterr() == (
+        "",
+        "error: axiom A3 violated: orthogonal sum missing "
+        "([1.0, 0.0, 0.0, 0.0]; [0.0, 1.0, 0.0, 0.0])\n",
+    )
+
+
 def test_cli_import_leaves_numpy_unloaded():
     src = os.path.dirname(os.path.dirname(numevents.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    code = "import sys, numevents.cli; print('numpy' in sys.modules)"
+    # nor the dataclasses code generator with inspect, nor the fixtures
+    code = (
+        "import sys, numevents.cli; print([m for m in "
+        "('numpy', 'dataclasses', 'inspect', 'numevents.fixtures') if m in sys.modules])"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
-    assert (done.returncode, done.stdout) == (0, "False\n")
+    assert (done.returncode, done.stdout) == (0, "[]\n")
 
 
 # The calls between layers that the benchmark's tracer times: names it

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from numevents import (
     hilbert_events,
     mask_event,
 )
+import numevents
 from helpers import space
 
 TWO_STATE = BooleanMeasureAlgebra(
@@ -200,3 +204,29 @@ class TestConcreteLogicGeneration:
         assert gen_concrete_logic(seeds).masks == gfe_closure(
             seeds.events, sp
         ).masks
+
+
+class TestLazyImport:
+    def test_fixtures_load_on_first_use(self):
+        src = os.path.dirname(os.path.dirname(numevents.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        code = (
+            "import sys, numevents; before = 'numevents.fixtures' in sys.modules; "
+            "from numevents import gen_boolean_algebra; "
+            "print(before, gen_boolean_algebra.__module__, 'hilbert_events' in dir(numevents))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert (done.returncode, done.stdout) == (0, "False numevents.fixtures True\n")
+
+    def test_names_are_the_modules_own(self):
+        import numevents.fixtures as fixtures
+
+        assert numevents.HilbertFixture is fixtures.HilbertFixture
+        assert numevents.hilbert_events is fixtures.hilbert_events
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            numevents.no_such_name

@@ -37,7 +37,7 @@ from helpers import (
     random_logic,
     space,
 )
-from numevents.logic import _atoms, _first_defect, _gaps
+from numevents.logic import _atoms, _first_defect, _gaps, _outside
 
 SP3 = space(3)
 SP4 = space(4)
@@ -281,6 +281,20 @@ class TestPartnerIndex:
             seen["whole frontier"] += frontier == sorted(masks)
             seen["several gaps"] += len(gaps) > 1
         assert min(seen.values()) >= 100, seen
+
+    def test_state_rows_are_the_join_per_state(self):
+        cases = [masks for _num_states, masks in _mask_sets(41, 300, 6)]
+        cases += [masks for masks, _full, _frontier in _kernel_cases(42, 300)]
+        for masks in cases + [set(), {0}]:
+            members = sorted(masks)
+            span = max(members, default=0).bit_length()
+            # states above the span lack every member
+            for width in (span, span + 2) if members else (0,):
+                join = [
+                    int("".join(["0" if m >> s & 1 else "1" for m in reversed(members)]) or "0", 2)
+                    for s in range(width)
+                ]
+                assert _outside(members, width) == join
 
 
 def _horizontal_sum(k, num_states):
