@@ -9,6 +9,7 @@ argparse also exits 2 on a command line it cannot parse.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from itertools import chain
@@ -30,7 +31,7 @@ from .logic import (
     boolean_by_minima,
     check_concrete_logic,
 )
-from .tolerance import DEFAULT_EPS, eps_scope, get_eps
+from .tolerance import DEFAULT_EPS, _checked, eps_scope, get_eps
 from .valuations import (
     ENUMERATION_CAP,
     count_01_valuations,
@@ -327,7 +328,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise ValueError(f"--budget must be at least 1, got {args.budget}")
         eps = args.eps
         if eps is None and os.environ.get(ENV_EPS):
-            eps = float(os.environ[ENV_EPS])
+            try:
+                eps = _checked(float(os.environ[ENV_EPS]))
+            except ValueError as exc:
+                raise ValueError(f"{ENV_EPS}: {exc}") from None
         with eps_scope(get_eps() if eps is None else eps):
             return args.handler(args)
     except (NumericalEventError, OSError, ValueError) as exc:
@@ -335,5 +339,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_ERROR
 
 
+def _run() -> int:
+    """The program entry: ``main()`` on the process's arguments.
+
+    Once the report is written, everything still alive moves to the
+    collector's permanent generation, so the interpreter's collections at
+    exit do not walk memory the OS frees anyway. Finalization still runs
+    atexit handlers and flushes the std streams. ``main()`` called from
+    Python leaves the collector as it found it.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_run())

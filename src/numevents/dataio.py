@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from contextlib import contextmanager
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -34,6 +32,13 @@ from .events import (
 )
 from .correlations import CorrelationTable
 from .valuations import format_subset, mask_from_indices
+
+# json's own string encoder, taken from its C accelerator so that only
+# read_logic_json, which parses JSON, imports json
+try:
+    from _json import encode_basestring_ascii
+except ImportError:  # an interpreter built without _json
+    from json.encoder import encode_basestring_ascii
 
 __all__ = [
     "DataFormatError",
@@ -336,6 +341,8 @@ def read_logic_json(source) -> tuple[StateSpace, tuple[Event, ...], tuple[int, .
     Returns the state space, the declared member events (not yet checked
     against the closure axioms) and the 0-based family indices.
     """
+    import json
+
     with _opened(source, "r") as stream:
         try:
             data = json.load(stream)

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import json
 import os
@@ -191,7 +192,31 @@ class TestTolerance:
 
     def test_invalid_eps_rejected(self, capsys):
         assert main(["--eps", "0.9", "classify", data("polarizer.csv")]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "error: eps must lie in (0, 0.5], got 0.9\n")
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("abc", "could not convert string to float: 'abc'"),
+            ("0.9", "eps must lie in (0, 0.5], got 0.9"),
+        ],
+    )
+    def test_env_variable_errors_name_the_variable(
+        self, value, message, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("NUMEVENT_EPS", value)
+        assert main(["bell", data("violated_n2.csv")]) == 1
+        assert capsys.readouterr() == ("", f"error: NUMEVENT_EPS: {message}\n")
+
+    def test_a_bad_env_variable_is_not_read_under_the_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("NUMEVENT_EPS", "abc")
+        assert main(["--eps", "0.31", "bell", data("violated_n2.csv")]) == 0
+        capsys.readouterr()
+
+    def test_empty_env_variable_counts_as_absent(self, capsys, monkeypatch):
+        monkeypatch.setenv("NUMEVENT_EPS", "")
+        assert main(["bell", data("violated_n2.csv")]) == 2
+        capsys.readouterr()
 
 
 class TestBudget:
@@ -295,10 +320,12 @@ def test_cli_import_leaves_numpy_unloaded():
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    # nor the dataclasses code generator with inspect, nor the fixtures
+    # nor the dataclasses code generator with inspect, nor the fixtures,
+    # nor json, which only reading a logic file needs
     code = (
         "import sys, numevents.cli; print([m for m in "
-        "('numpy', 'dataclasses', 'inspect', 'numevents.fixtures') if m in sys.modules])"
+        "('numpy', 'dataclasses', 'inspect', 'numevents.fixtures', 'json') "
+        "if m in sys.modules])"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
@@ -505,3 +532,71 @@ def test_module_entry_point_exits_with_the_error_code():
         "",
         "error: n must be positive, got 0\n",
     )
+
+
+class TestProgramEntry:
+    """``python -m numevents.cli`` and the console script run ``cli._run``,
+    which freezes the collector once the report is written; ``main()``
+    leaves it as it found it."""
+
+    @staticmethod
+    def collector():
+        return gc.isenabled(), gc.get_freeze_count()
+
+    @pytest.mark.parametrize(
+        "argv, code", [(["enumerate", "2"], 0), (["enumerate", "0"], 1)]
+    )
+    def test_main_leaves_the_collector_as_it_found_it(self, argv, code, capsys):
+        before = self.collector()
+        assert main(argv) == code
+        assert self.collector() == before
+        capsys.readouterr()
+
+    def test_a_usage_error_leaves_the_collector_as_it_found_it(self, capsys):
+        before = self.collector()
+        with pytest.raises(SystemExit) as info:
+            main(["enumerate"])
+        assert info.value.code == 2
+        assert self.collector() == before
+        capsys.readouterr()
+
+    def test_the_entry_freezes_after_the_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["numevents", "enumerate", "2"])
+        before = gc.get_freeze_count()
+        try:
+            assert cli._run() == 0
+            assert gc.get_freeze_count() > before
+        finally:
+            gc.unfreeze()
+        assert capsys.readouterr().out == golden("enumerate_2.txt")
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--format", "json", "bell", "{flat}", "--all-valuations"], 2),
+            (["enumerate", "4"], 0),
+        ],
+    )
+    def test_the_program_prints_what_main_prints(
+        self, argv, code, flat_table, monkeypatch
+    ):
+        argv = [a.replace("{flat}", flat_table) for a in argv]
+        src = os.path.dirname(os.path.dirname(numevents.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "numevents.cli", *argv], env=env, capture_output=True
+        )
+        stdout = RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == code
+        assert (done.returncode, done.stderr) == (code, b"")
+        assert done.stdout == "".join(stdout.writes).encode()
+
+    def test_the_console_script_runs_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["numevents"]
+        module, _, name = target.partition(":")
+        assert module == "numevents.cli"
+        assert getattr(cli, name, None) is cli._run
