@@ -73,12 +73,17 @@ def _add_witnesses(
         lines += [f"- {name} = {_fmt_values(event)}" for name, event in witnesses]
 
 
-def _write(pieces: Iterable[str]) -> None:
-    """Write the pieces to stdout in groups of about _WRITE_SIZE characters.
+def _emit(output: dict | Iterable[str]) -> None:
+    """Print a JSON report (a dict) or text lines (an iterable of str).
 
-    Unbuffered (``python -u``), every write on stdout is a system call;
+    The text goes to stdout in groups of about _WRITE_SIZE characters:
+    unbuffered (``python -u``), every write on stdout is a system call;
     joined whole, a long report is held once more as one string.
     """
+    if isinstance(output, dict):
+        pieces: Iterable[str] = chain(_json_chunks(output), ["\n"])
+    else:
+        pieces = (line + "\n" for line in output)
     group: list[str] = []
     size = 0
     for piece in pieces:
@@ -91,15 +96,17 @@ def _write(pieces: Iterable[str]) -> None:
         sys.stdout.write("".join(group))
 
 
-def _emit(output: dict | Iterable[str]) -> None:
-    """Print a JSON report (a dict) or text lines (an iterable of str)."""
-    if isinstance(output, dict):
-        _write(chain(_json_chunks(output), ["\n"]))
-    else:
-        _write(line + "\n" for line in output)
+# what a command hands main: its exit code, JSON report and text lines
+_Output = tuple[int, dict, Iterable[str]]
+
+_CLASSIFY_EXIT = {
+    EMBEDDABLE: EXIT_OK,
+    NOT_EMBEDDABLE: EXIT_NEGATIVE,
+    UNDECIDED: EXIT_UNDECIDED,
+}
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> _Output:
     family, names = read_events_csv(args.input)
     result = classify_embedding(family, closure_cap=args.budget or DEFAULT_CLOSURE_CAP)
     report = {
@@ -119,15 +126,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     ]
     lines += [f"- {r}" for r in result.reasons]
     _add_witnesses(report, lines, result.witnesses)
-    _emit(report if args.format == "json" else lines)
-    if result.verdict == EMBEDDABLE:
-        return EXIT_OK
-    if result.verdict == NOT_EMBEDDABLE:
-        return EXIT_NEGATIVE
-    return EXIT_UNDECIDED
+    return _CLASSIFY_EXIT[result.verdict], report, lines
 
 
-def _cmd_boolean(args: argparse.Namespace) -> int:
+def _cmd_boolean(args: argparse.Namespace) -> _Output:
     space, events, family_indices = read_logic_json(args.input)
     try:
         logic = ConcreteLogic.from_events(events)
@@ -162,11 +164,10 @@ def _cmd_boolean(args: argparse.Namespace) -> int:
         subset = mask_from_indices(verdict.missing_minimum, family.n)
         lines.append(f"missing minimum: {format_subset(subset)}")
     _add_witnesses(report, lines, (verdict.witnesses or {}).items())
-    _emit(report if args.format == "json" else lines)
-    return EXIT_OK if verdict.boolean else EXIT_NEGATIVE
+    return EXIT_OK if verdict.boolean else EXIT_NEGATIVE, report, lines
 
 
-def _cmd_bell(args: argparse.Namespace) -> int:
+def _cmd_bell(args: argparse.Namespace) -> _Output:
     table = read_correlations_csv(args.input)
     if table.n not in (2, 3, 4):
         raise NumericalEventError(f"n outside {{2,3,4}}: {table.n}")
@@ -185,48 +186,41 @@ def _cmd_bell(args: argparse.Namespace) -> int:
         checked = len(rows)
     violated = sum(r.violated for r in rows)
     verdict = "violated" if violated else "no obstruction found"
-    if args.format == "json":
-        _emit(
+    report = {
+        "command": "bell",
+        "n": table.n,
+        "states": list(table.space.labels),
+        "mode": mode,
+        "checked": checked,
+        "violations": violated,
+        # one row dict at a time, as the writer asks for it
+        "rows": (
             {
-                "command": "bell",
-                "n": table.n,
-                "states": list(table.space.labels),
-                "mode": mode,
-                "checked": checked,
-                "violations": violated,
-                # one row dict at a time, as the writer asks for it
-                "rows": (
-                    {
-                        "label": r.label,
-                        "coefficients": list(r.coefficients.values),
-                        "min": r.min_value,
-                        "max": r.max_value,
-                        "violated": r.violated,
-                        "violating_state": r.violating_state,
-                    }
-                    for r in rows
-                ),
-                "verdict": verdict,
+                "label": r.label,
+                "coefficients": list(r.coefficients.values),
+                "min": r.min_value,
+                "max": r.max_value,
+                "violated": r.violated,
+                "violating_state": r.violating_state,
             }
-        )
-    else:
-        lines = (
+            for r in rows
+        ),
+        "verdict": verdict,
+    }
+    lines = chain(
+        [f"n: {table.n}", f"mode: {mode}", f"checked: {checked}"],
+        (
             f"- {r.label}  min={_fmt_number(r.min_value)} "
             f"max={_fmt_number(r.max_value)}  "
             + (f"VIOLATED at {r.violating_state}" if r.violated else "ok")
             for r in rows
-        )
-        _emit(
-            chain(
-                [f"n: {table.n}", f"mode: {mode}", f"checked: {checked}"],
-                lines,
-                [f"violations: {violated}", f"verdict: {verdict}"],
-            )
-        )
-    return EXIT_NEGATIVE if violated else EXIT_OK
+        ),
+        [f"violations: {violated}", f"verdict: {verdict}"],
+    )
+    return EXIT_NEGATIVE if violated else EXIT_OK, report, lines
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> _Output:
     n = args.n
     if n < 1:
         raise NumericalEventError(f"n must be positive, got {n}")
@@ -236,20 +230,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         )
     count = count_01_valuations(n)
     valuations = enumerate_01_valuations(n, allow_large=True)
-    if args.format == "json":
-        _emit(
-            {
-                "command": "enumerate",
-                "n": n,
-                "count": count,
-                "valuations": (list(map(int, f.values)) for f in valuations),
-            }
-        )
-    else:
-        # "%d" renders an integral float as int() does, -0.0 as 0
-        line = " ".join(["%d"] * ((1 << n) - 1)) + "\n"
-        _write(chain([f"{count}\n"], (line % f.values for f in valuations)))
-    return EXIT_OK
+    report = {
+        "command": "enumerate",
+        "n": n,
+        "count": count,
+        "valuations": (list(map(int, f.values)) for f in valuations),
+    }
+    # "%d" renders an integral float as int() does, -0.0 as 0
+    line = " ".join(["%d"] * ((1 << n) - 1))
+    lines = chain([str(count)], (line % f.values for f in valuations))
+    return EXIT_OK, report, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,7 +323,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             except ValueError as exc:
                 raise ValueError(f"{ENV_EPS}: {exc}") from None
         with eps_scope(get_eps() if eps is None else eps):
-            return args.handler(args)
+            code, report, lines = args.handler(args)
+            _emit(report if args.format == "json" else lines)
+            return code
     except (NumericalEventError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

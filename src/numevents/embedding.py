@@ -176,35 +176,28 @@ def classify_embedding(
         if not is_proper(p):
             raise ImproperEventError(f"improper event: p_{i + 1}")
 
-    reasons: list[str] = []
-
+    anti, offending = is_antichain(family, include_complements=True)
+    pairs = _distinct_pair_count(family) if anti else 0
+    container: Container | None = None
+    witnesses: tuple[LabeledEvent, ...] = ()
     if all(is_two_valued(p) for p in family):
         closure = gfe_closure(family.events, family.space, max_size=closure_cap)
-        reasons.append(
+        verdict, container = EMBEDDABLE, Container("GFE_CLOSURE", len(closure))
+        reasons = [
             "all events are two-valued; the event field they generate "
             "contains the family [rule two-valued-closure]"
-        )
-        anti, _ = is_antichain(family, include_complements=True)
+        ]
         if anti:
-            pairs = _distinct_pair_count(family)
             reasons.append(
                 f"family and complements are also pairwise incomparable; "
                 f"MO_{pairs} would contain the family [rule antichain-mo]"
             )
-        return EmbeddingReport(
-            verdict=EMBEDDABLE,
-            container=Container("GFE_CLOSURE", len(closure)),
-            reasons=tuple(reasons),
-            witnesses=(),
-        )
-
-    anti, offending = is_antichain(family, include_complements=True)
-    if anti:
-        pairs = _distinct_pair_count(family)
-        reasons.append(
+    elif anti:
+        verdict, container = EMBEDDABLE, Container("MO", pairs)
+        reasons = [
             f"family and complements form an antichain of {2 * pairs} "
             "pairwise incomparable events [rule antichain-mo]"
-        )
+        ]
         if pairs < family.n:
             reasons.append(
                 "complement coincidences inside the family reduce the "
@@ -215,75 +208,43 @@ def classify_embedding(
                 "the smallest Boolean container for an incomparable pair "
                 "has 16 elements [rule pair-boolean-16]"
             )
-        return EmbeddingReport(
-            verdict=EMBEDDABLE,
-            container=Container("MO", pairs),
-            reasons=tuple(reasons),
-            witnesses=(),
-        )
-
-    assert offending is not None
-    (name_a, a), (name_b, b) = offending
-
-    if family.space.size == 2:
-        reasons.append(
-            f"two states and a comparable pair {name_a} <= {name_b}: over "
-            "two states the difference of a comparable pair is never "
-            "proper, so no event algebra contains both "
-            "[rule two-state-comparability]"
-        )
-        return EmbeddingReport(
-            verdict=NOT_EMBEDDABLE,
-            container=None,
-            reasons=tuple(reasons),
-            witnesses=offending,
-        )
-
-    if family.n == 2:
-        d = difference(b, a)
-        diff_name = f"{name_b} - {name_a}"
-        if is_proper(d):
-            reasons.append(
-                f"{name_a} <= {name_b} and the difference {diff_name} is "
-                "proper; an eight-element Boolean algebra contains the "
-                "pair [rule pair-difference]"
-            )
-            return EmbeddingReport(
-                verdict=EMBEDDABLE,
-                container=Container("BOOLEAN_8"),
-                reasons=tuple(reasons),
-                witnesses=(),
-            )
-        reasons.append(
-            f"{name_a} <= {name_b} but the difference {diff_name} is not "
-            "proper, and any containing algebra would have to contain it "
-            "[rule pair-difference-improper]"
-        )
-        return EmbeddingReport(
-            verdict=NOT_EMBEDDABLE,
-            container=None,
-            reasons=tuple(reasons),
-            witnesses=offending + ((diff_name, d),),
-        )
-
-    reasons.append(
-        "not all events are two-valued [rule two-valued-closure not applicable]"
-    )
-    reasons.append(
-        f"family plus complements contains a comparable pair "
-        f"{name_a} <= {name_b} [rule antichain-mo not applicable]"
-    )
-    reasons.append(
-        f"state space has {family.space.size} states "
-        "[rule two-state-comparability not applicable]"
-    )
-    reasons.append(
-        f"family has n={family.n} members [rule pair-difference not applicable]"
-    )
-    reasons.append("embeddability undecided")
-    return EmbeddingReport(
-        verdict=UNDECIDED,
-        container=None,
-        reasons=tuple(reasons),
-        witnesses=offending,
-    )
+    else:
+        assert offending is not None
+        (name_a, a), (name_b, b) = offending
+        if family.space.size == 2:
+            verdict, witnesses = NOT_EMBEDDABLE, offending
+            reasons = [
+                f"two states and a comparable pair {name_a} <= {name_b}: over "
+                "two states the difference of a comparable pair is never "
+                "proper, so no event algebra contains both "
+                "[rule two-state-comparability]"
+            ]
+        elif family.n == 2:
+            d = difference(b, a)
+            diff_name = f"{name_b} - {name_a}"
+            if is_proper(d):
+                verdict, container = EMBEDDABLE, Container("BOOLEAN_8")
+                reasons = [
+                    f"{name_a} <= {name_b} and the difference {diff_name} is "
+                    "proper; an eight-element Boolean algebra contains the "
+                    "pair [rule pair-difference]"
+                ]
+            else:
+                verdict, witnesses = NOT_EMBEDDABLE, offending + ((diff_name, d),)
+                reasons = [
+                    f"{name_a} <= {name_b} but the difference {diff_name} is not "
+                    "proper, and any containing algebra would have to contain it "
+                    "[rule pair-difference-improper]"
+                ]
+        else:
+            verdict, witnesses = UNDECIDED, offending
+            reasons = [
+                "not all events are two-valued [rule two-valued-closure not applicable]",
+                f"family plus complements contains a comparable pair "
+                f"{name_a} <= {name_b} [rule antichain-mo not applicable]",
+                f"state space has {family.space.size} states "
+                "[rule two-state-comparability not applicable]",
+                f"family has n={family.n} members [rule pair-difference not applicable]",
+                "embeddability undecided",
+            ]
+    return EmbeddingReport(verdict, container, tuple(reasons), witnesses)

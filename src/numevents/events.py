@@ -152,7 +152,13 @@ class Event(_Record):
             eps = get_eps()
             clamped = []
             for label, item in zip(space.labels, raw):
-                v = float(item)
+                try:
+                    v = float(item)
+                except OverflowError:
+                    # no repr: an int of over 4300 digits has no str
+                    raise ValueRangeError(
+                        f"value at state {label} outside the float range"
+                    ) from None
                 if v != v or v < -eps or v > 1.0 + eps:
                     raise ValueRangeError(
                         f"value {item!r} at state {label} outside [0, 1]"
@@ -195,9 +201,17 @@ def one_event(space: StateSpace) -> Event:
     return Event((1.0,) * space.size, space)
 
 
-def _require_same_space(p: Event, q: Event) -> None:
-    if p.space != q.space:
-        raise SpaceMismatchError("events reference different state spaces")
+def _one_space(
+    events: Sequence[Event], what: str, space: StateSpace | None = None
+) -> StateSpace:
+    """The state space that every event uses: space, or else the first
+    event's. Raises SpaceMismatchError naming what the events are."""
+    if space is None:
+        space = events[0].space
+    for e in events:
+        if e.space != space:
+            raise SpaceMismatchError(f"{what} reference different state spaces")
+    return space
 
 
 def approx_equal(p: Event, q: Event) -> bool:
@@ -215,7 +229,8 @@ def complement(p: Event) -> Event:
 
 def leq(p: Event, q: Event) -> bool:
     """Pointwise order p <= q, tolerant within eps."""
-    _require_same_space(p, q)
+    if p.space != q.space:
+        raise SpaceMismatchError("events reference different state spaces")
     eps = get_eps()
     return all(a <= b + eps for a, b in zip(p.values, q.values))
 
@@ -245,11 +260,8 @@ def pointwise_min(events: Sequence[Event] | Iterable[Event]) -> Event:
     items = list(events)
     if not items:
         raise ValueError("pointwise minimum of an empty collection")
-    first = items[0]
-    for other in items[1:]:
-        _require_same_space(first, other)
-    vals = tuple(min(e.values[k] for e in items) for k in range(first.space.size))
-    return Event(vals, first.space)
+    space = _one_space(items, "events")
+    return Event(tuple(min(e.values[k] for e in items) for k in range(space.size)), space)
 
 
 def is_proper(p: Event) -> bool:
@@ -274,10 +286,7 @@ class EventFamily(_Record):
         events = tuple(events)
         if not events:
             raise ValueError("family needs at least one event")
-        space = events[0].space
-        for e in events[1:]:
-            if e.space != space:
-                raise SpaceMismatchError("family members reference different state spaces")
+        _one_space(events, "family members")
         for i in range(len(events)):
             for j in range(i + 1, len(events)):
                 if approx_equal(events[i], events[j]):

@@ -1,9 +1,11 @@
 """Seed-deterministic fixture factories with known classical status.
 
 Boolean measure algebras give correlation data that is classical by
-construction; projector fixtures on a finite-dimensional real Hilbert
-space give event families of quantum type; closure generation turns
-arbitrary two-valued seeds into concrete logics.
+construction. Projector fixtures on a finite-dimensional real Hilbert
+space take every projector from one orthonormal basis, so the projectors
+commute and each state is a probability measure on that basis: their
+event families are classical by construction too, not of quantum type.
+Closure generation turns arbitrary two-valued seeds into concrete logics.
 """
 
 from __future__ import annotations
@@ -147,7 +149,11 @@ def gen_hilbert_fixture(
     dim: int, num_projectors: int, num_states: int, seed: int
 ) -> HilbertFixture:
     """Random projectors (proper subspaces of a common random basis) and
-    random unit state vectors; deterministic per seed."""
+    random unit state vectors; deterministic per seed.
+
+    All projectors come from one basis, so they commute, and the event
+    families they give are classical by construction.
+    """
     if dim < 2:
         raise ValueError("dimension must be at least 2")
     max_proper = (1 << dim) - 2

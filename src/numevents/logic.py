@@ -66,6 +66,7 @@ from .events import (
     NumericalEventError,
     SpaceMismatchError,
     StateSpace,
+    _one_space,
     _Record,
     approx_equal,
     complement,
@@ -175,10 +176,7 @@ class ConcreteLogic(_Record):
         items = list(events)
         if not items:
             raise ValueError("a concrete logic needs at least the zero event")
-        space = items[0].space
-        for e in items[1:]:
-            if e.space != space:
-                raise SpaceMismatchError("logic members reference different state spaces")
+        space = _one_space(items, "logic members")
         return cls(space=space, masks=frozenset(event_mask(e) for e in items))
 
     @property
@@ -322,16 +320,11 @@ def gfe_closure(
     An empty collection needs an explicit state space and yields {0, 1}.
     """
     items = list(events)
-    if space is None:
-        if not items:
-            raise ValueError("empty generation needs an explicit state space")
-        space = items[0].space
+    if space is None and not items:
+        raise ValueError("empty generation needs an explicit state space")
+    space = _one_space(items, "events", space)
     full = (1 << space.size) - 1
-    masks = {0, full}
-    for e in items:
-        if e.space != space:
-            raise SpaceMismatchError("events reference different state spaces")
-        masks.add(event_mask(e))
+    masks = {0, full, *map(event_mask, items)}
     frontier = sorted(masks)
     while frontier:
         if len(masks) > max_size:
@@ -346,10 +339,7 @@ def check_concrete_logic(events: Iterable[Event]) -> LogicDefect | None:
     items = list(events)
     if not items:
         return LogicDefect("A1", _AXIOM_DETAIL["A1"], ())
-    space = items[0].space
-    for e in items[1:]:
-        if e.space != space:
-            raise SpaceMismatchError("logic members reference different state spaces")
+    space = _one_space(items, "logic members")
     masks: dict[int, Event] = {}
     for e in items:
         try:
@@ -609,10 +599,7 @@ def boolean_oracle(
         raise ValueError("empty member set")
     if len(items) > member_cap:
         raise BudgetExceededError(f"budget exceeded: |P| > {member_cap}")
-    space = items[0].space
-    for e in items[1:]:
-        if e.space != space:
-            raise SpaceMismatchError("members reference different state spaces")
+    space = _one_space(items, "members")
     if family.space != space:
         raise SpaceMismatchError("family uses a different state space")
     tracker = _Budget(budget)

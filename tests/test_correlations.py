@@ -47,6 +47,11 @@ PAIR2 = table(
 
 
 class TestTableConstruction:
+    def test_n_must_be_positive(self):
+        with pytest.raises(ValueError) as err:
+            CorrelationTable.build(SP1, 0, {})
+        assert str(err.value) == "n must be positive, got 0"
+
     def test_entries_exposed_by_mask(self):
         assert PAIR2.event(0b01).values == (0.6, 0.2)
         assert PAIR2.event(0b11).values == (0.4, 0.1)

@@ -72,6 +72,17 @@ class TestEventsCsv:
         assert family.events[0].values == (0.3, 0.7)
         assert family.events[1].values == (0.6, 0.4)
 
+    def test_blank_line_skipped(self):
+        text = "state,event,value\ns1,p1,0.3\ns2,p1,0.7\ns1,p2,0.6\ns2,p2,0.4\n"
+        blank = text.replace("s2,p1", "\ns2,p1")
+        assert read_events_csv(io.StringIO(blank)) == read_events_csv(io.StringIO(text))
+
+    def test_write_needs_one_name_per_event(self):
+        family, _names = read_events_csv(data("polarizer.csv"))
+        with pytest.raises(ValueError) as err:
+            write_events_csv(family, ("p1",), io.StringIO())
+        assert str(err.value) == "one name per event required"
+
     def test_write_read_write_is_stable(self):
         family, names = read_events_csv(data("polarizer.csv"))
         text = events_csv_text(family.events, names)
@@ -292,9 +303,20 @@ class TestCorrelationsCsv:
         }
 
     def test_unsorted_subset_rejected(self):
-        buffer = io.StringIO("state,subset,value\ns1,{1},0.5\ns1,{2,1},0.4\n")
-        with pytest.raises(DataFormatError):
+        buffer = io.StringIO('state,subset,value\ns1,{1},0.5\ns1,"{2,1}",0.4\n')
+        with pytest.raises(DataFormatError) as err:
             read_correlations_csv(buffer)
+        assert str(err.value) == (
+            "line 3, column 'subset': indices must be sorted and distinct in '{2,1}'"
+        )
+
+    def test_repeated_subset_index_rejected(self):
+        buffer = io.StringIO('state,subset,value\ns1,{1},0.5\ns1,"{1,1}",0.4\n')
+        with pytest.raises(DataFormatError) as err:
+            read_correlations_csv(buffer)
+        assert str(err.value) == (
+            "line 3, column 'subset': indices must be sorted and distinct in '{1,1}'"
+        )
 
     def test_malformed_subset_rejected(self):
         for cell in ("{}", "1,2", "{1,}", "{a}", "{\u00b2}"):

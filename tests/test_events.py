@@ -87,6 +87,13 @@ class TestEventConstruction:
             Event((bad, 0.5), SP2)
         assert "s1" in str(err.value)
 
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_integer_beyond_the_float_range_rejected(self, digits):
+        # 10**5000 has no str in Python 3.11+, so the message cannot repr it
+        with pytest.raises(ValueRangeError) as err:
+            Event((10**digits, 0.5), SP2)
+        assert str(err.value) == "value at state s1 outside the float range"
+
     def test_zero_and_one(self):
         assert zero_event(SP3).values == (0.0, 0.0, 0.0)
         assert one_event(SP3).values == (1.0, 1.0, 1.0)

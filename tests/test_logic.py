@@ -71,6 +71,12 @@ class TestMaskConversion:
         with pytest.raises(NotTwoValuedError):
             event_mask(Event((0.5, 0.0, 0.0), SP3))
 
+    @pytest.mark.parametrize("mask", [-1, 16])
+    def test_mask_outside_the_space_rejected(self, mask):
+        with pytest.raises(ValueError) as err:
+            mask_event(mask, SP4)
+        assert str(err.value) == f"mask {mask} outside the state space"
+
 
 class TestClosure:
     def test_empty_seed_gives_bounds_only(self):
@@ -80,6 +86,17 @@ class TestClosure:
     def test_empty_seed_needs_a_space(self):
         with pytest.raises(ValueError):
             gfe_closure([])
+
+    def test_space_taken_from_the_events(self):
+        logic = gfe_closure([mask_event(m, SP4) for m in EVEN_SEEDS])
+        assert logic == gfe_closure([mask_event(m, SP4) for m in EVEN_SEEDS], SP4)
+        assert logic.space == SP4
+
+    def test_every_space_checked_before_any_mask(self):
+        # the first seed is not two-valued, the second on another space
+        seeds = [Event((0.5, 0.0, 0.0), SP3), mask_event(0b0001, SP4)]
+        with pytest.raises(SpaceMismatchError):
+            gfe_closure(seeds)
 
     def test_single_seed(self):
         logic = gfe_closure([mask_event(0b0001, SP4)], SP4)
@@ -162,6 +179,16 @@ class TestAxiomChecks:
     def test_constructor_enforces_the_same_axioms(self):
         with pytest.raises(ValueError):
             ConcreteLogic(space=SP4, masks=frozenset({0, 15, 3}))
+
+    def test_constructor_rejects_a_mask_outside_the_space(self):
+        with pytest.raises(ValueError) as err:
+            ConcreteLogic(space=SP3, masks=frozenset({0, 7, 8, 15}))
+        assert str(err.value) == "mask outside the state space"
+
+    def test_from_events_needs_a_member(self):
+        with pytest.raises(ValueError) as err:
+            ConcreteLogic.from_events([])
+        assert str(err.value) == "a concrete logic needs at least the zero event"
 
     def test_contains(self):
         assert EVEN_LOGIC.contains(mask_event(0b0011, SP4))
@@ -494,6 +521,12 @@ class TestCommuteWitness:
         assert w is not None
         assert w.a.values == a.values
 
+    def test_empty_member_set_rejected(self):
+        f = mask_event(0b0011, SP4)
+        with pytest.raises(ValueError) as err:
+            commute_witness([], f, f)
+        assert str(err.value) == "empty member set"
+
     def test_general_members_can_fail(self):
         sp = space(2)
         f = Event((0.5, 0.3), sp)
@@ -628,3 +661,49 @@ class TestBooleanOracle:
         family = fam(EVEN_LOGIC, 0b0011, 0b0111)
         with pytest.raises(NotInLogicError):
             boolean_oracle(EVEN_LOGIC, family)
+
+    def test_empty_member_set_rejected(self):
+        with pytest.raises(ValueError) as err:
+            boolean_oracle([], fam(POWER3, 0b011, 0b101))
+        assert str(err.value) == "empty member set"
+
+    def test_general_members_need_the_family_in_p(self):
+        sp = space(2)
+        f = Event((0.5, 0.3), sp)
+        g = Event((0.6, 0.8), sp)
+        members = [zero_event(sp), one_event(sp), f]
+        with pytest.raises(NotInLogicError) as err:
+            boolean_oracle(members, EventFamily((f, g)))
+        assert str(err.value) == "family member not in P"
+
+
+# one event on three states and one on four, for every shared-space check
+MIXED = (mask_event(0b001, SP3), mask_event(0b0001, SP4))
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        pytest.param(lambda: EventFamily(MIXED), "family members", id="EventFamily"),
+        pytest.param(lambda: pointwise_min(MIXED), "events", id="pointwise_min"),
+        pytest.param(
+            lambda: ConcreteLogic.from_events(MIXED), "logic members", id="from_events"
+        ),
+        pytest.param(lambda: gfe_closure(MIXED), "events", id="gfe_closure"),
+        pytest.param(
+            lambda: gfe_closure(MIXED[1:], SP3), "events", id="gfe_closure-space"
+        ),
+        pytest.param(
+            lambda: check_concrete_logic(MIXED), "logic members", id="check_concrete_logic"
+        ),
+        pytest.param(
+            lambda: boolean_oracle(MIXED, fam(POWER3, 0b001, 0b010)),
+            "members",
+            id="boolean_oracle",
+        ),
+    ],
+)
+def test_each_shared_space_check_names_its_events(call, what):
+    with pytest.raises(SpaceMismatchError) as err:
+        call()
+    assert str(err.value) == f"{what} reference different state spaces"

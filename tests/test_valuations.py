@@ -70,6 +70,12 @@ class TestSetFunction:
         with pytest.raises(ValueError):
             SetFunction(0, ())
 
+    @pytest.mark.parametrize("mask", [0, 8])
+    def test_from_map_rejects_a_mask_out_of_range(self, mask):
+        with pytest.raises(ValueError) as err:
+            SetFunction.from_map(3, {mask: 1.0})
+        assert str(err.value) == f"mask {mask} outside 1..7"
+
 
 class TestTransforms:
     def test_point_mass_sums_over_supersets(self):
@@ -142,6 +148,12 @@ class TestElementary:
                 assert v == 0.0
             else:
                 assert v == (-1.0) ** popcount(mask ^ 0b0101)
+
+    @pytest.mark.parametrize("mask", [0, 4])
+    def test_mask_out_of_range_rejected(self, mask):
+        with pytest.raises(ValueError) as err:
+            elementary_valuation(mask, 2)
+        assert str(err.value) == f"mask {mask} outside 1..3"
 
     def test_every_elementary_is_valid(self):
         for n in (2, 3, 4):
@@ -276,6 +288,12 @@ class TestPairInequality:
         assert f.value(0b010) == 1.0
         assert f.value(0b011) == -1.0
         assert f.support() == (0b001, 0b010, 0b011)
+
+    @pytest.mark.parametrize("i, j, bad", [(0, 0b010, 0), (0b001, 0b1000, 8)])
+    def test_mask_out_of_range_rejected(self, i, j, bad):
+        with pytest.raises(ValueError) as err:
+            pair_inequality(i, j, 3)
+        assert str(err.value) == f"mask {bad} outside 1..7"
 
     def test_nested_sets_rejected(self):
         with pytest.raises(ValueError):
