@@ -50,6 +50,7 @@ from .events import (
 from .tolerance import get_eps
 from .valuations import (
     ENUMERATION_CAP,
+    MAX_N,
     SetFunction,
     format_subset,
     mask_from_indices,
@@ -110,6 +111,8 @@ class CorrelationTable(_Record):
     ) -> "CorrelationTable":
         if n < 1:
             raise ValueError(f"n must be positive, got {n}")
+        if n > MAX_N:
+            raise ValueError(f"n must be at most {MAX_N}, got {n}")
         top = (1 << n) - 1
         clean: dict[int, Event] = {}
         for mask in sorted(entries):

@@ -31,7 +31,7 @@ from .events import (
     StateSpace,
 )
 from .correlations import CorrelationTable
-from .valuations import format_subset, mask_from_indices
+from .valuations import MAX_N, format_subset, mask_from_indices
 
 # json's own string encoder, taken from its C accelerator so that only
 # read_logic_json, which parses JSON, imports json
@@ -48,6 +48,8 @@ __all__ = [
     "write_correlations_csv",
     "read_logic_json",
     "write_logic_json",
+    "events_csv_text",
+    "correlations_csv_text",
 ]
 
 
@@ -290,11 +292,18 @@ def _parse_subset(text: str, line_num: int, compact: bool) -> tuple[int, ...]:
     indices = []
     for part in parts:
         part = part.strip()
-        if not (part.isascii() and part.isdigit()) or int(part) < 1:
+        digits = part.lstrip("0")
+        if not (part.isascii() and part.isdigit()) or not digits:
             raise DataFormatError(
                 f"line {line_num}, column 'subset': bad index {part!r} in {text!r}"
             )
-        indices.append(int(part))
+        # checked before int(), so a long digit run builds no large int
+        if len(digits) > len(str(MAX_N)) or int(digits) > MAX_N:
+            raise DataFormatError(
+                f"line {line_num}, column 'subset': index {part} outside "
+                f"1..{MAX_N} in {text!r}"
+            )
+        indices.append(int(digits))
     if indices != sorted(set(indices)):
         raise DataFormatError(
             f"line {line_num}, column 'subset': indices must be sorted and "
@@ -374,15 +383,7 @@ def read_logic_json(source) -> tuple[StateSpace, tuple[Event, ...], tuple[int, .
         if not numbers.issuperset(map(type, row)):
             raise DataFormatError(f"logic row {idx} must contain numbers")
         try:
-            # a list: tuple(map(...)) grows its tuple by realloc, and CPython
-            # would keep up to 2000 of those in its tuple free list
-            values = list(map(float, row))
-        except OverflowError:
-            raise DataFormatError(
-                f"logic row {idx}: integer value outside the float range"
-            ) from None
-        try:
-            events.append(Event(values, space))
+            events.append(Event(row, space))
         except NumericalEventError as exc:
             raise DataFormatError(f"logic row {idx}: {exc}") from exc
     family = data["family"]

@@ -44,8 +44,8 @@ subalgebra of a logic P:
 
 * ``boolean_by_minima`` checks that the pointwise minimum of every
   non-empty subfamily is a member of P (the criterion for n in
-  {2, 3, 4}) and, on success, derives the commutation witnesses from the
-  minima table.
+  {2, 3, 4}) and, on success, takes the commutation witnesses from the
+  minima's masks.
 * ``boolean_oracle`` searches directly for pairwise-orthogonal non-zero
   members of P that sum to 1 such that every family member is a sum of a
   subfamily. The two routes must agree; keep them separate.
@@ -57,7 +57,7 @@ from bisect import bisect_right
 from itertools import groupby
 from typing import Container, Iterable, Iterator
 
-from .correlations import CorrelationTable, witnesses_from_correlations
+from .correlations import witness_relations
 from .events import (
     BudgetExceededError,
     Event,
@@ -75,7 +75,7 @@ from .events import (
     pointwise_min,
 )
 from .tolerance import get_eps
-from .valuations import indices_from_mask, mask_from_indices
+from .valuations import indices_from_mask
 
 __all__ = [
     "NotInLogicError",
@@ -457,8 +457,9 @@ def boolean_by_minima(logic: ConcreteLogic, family: EventFamily) -> BooleanVerdi
     """Minima criterion: the family is Boolean in P iff every non-empty
     subfamily's pointwise minimum belongs to P. Supported for n in
     {2, 3, 4}; the first missing subset in lexicographic order is
-    reported. On success witnesses for the commutation chains are
-    built from the minima table.
+    reported. On success the witness a = p_I - p_(I u J) of each name in
+    ``witness_relations`` is the mask meets[I] & ~meets[J] of the minima:
+    for indicators the minimum over I u J is meets[I] & meets[J].
     """
     n = family.n
     if n not in (2, 3, 4):
@@ -471,20 +472,20 @@ def boolean_by_minima(logic: ConcreteLogic, family: EventFamily) -> BooleanVerdi
         if not logic.contains_mask(m):
             raise NotInLogicError("family member not in the logic")
         member_masks.append(m)
-    minima: dict[int, int] = {}
-    for subset in sorted(indices_from_mask(m) for m in range(1, 1 << n)):
-        meet = (1 << logic.space.size) - 1
-        for i in subset:
-            meet &= member_masks[i - 1]
+    # meets[s] is the minimum of the members in subset mask s; in
+    # lexicographic order, s without its highest index comes before s
+    meets = {0: (1 << logic.space.size) - 1}
+    for subset in sorted(range(1, 1 << n), key=indices_from_mask):
+        top = subset.bit_length() - 1
+        meet = meets[subset ^ (1 << top)] & member_masks[top]
         if not logic.contains_mask(meet):
-            return BooleanVerdict(boolean=False, missing_minimum=subset, witnesses=None)
-        minima[mask_from_indices(subset, n)] = meet
-    table = CorrelationTable.build(
-        logic.space,
-        n,
-        {m: mask_event(meet, logic.space) for m, meet in minima.items()},
-    )
-    witnesses = witnesses_from_correlations(table)
+            missing = indices_from_mask(subset)
+            return BooleanVerdict(boolean=False, missing_minimum=missing, witnesses=None)
+        meets[subset] = meet
+    witnesses: dict[str, Event] = {}
+    for name, i_mask, j_mask in witness_relations(n):
+        if name not in witnesses:
+            witnesses[name] = mask_event(meets[i_mask] & ~meets[j_mask], logic.space)
     return BooleanVerdict(boolean=True, missing_minimum=None, witnesses=witnesses)
 
 

@@ -10,6 +10,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator
 
+__all__ = ["DEFAULT_EPS", "get_eps", "set_eps", "eps_scope"]
+
 DEFAULT_EPS = 1e-9
 
 _eps: ContextVar[float] = ContextVar("numevents_eps", default=DEFAULT_EPS)

@@ -39,6 +39,8 @@ __all__ = [
 
 # enumeration is open-ended in n only behind an explicit override
 ENUMERATION_CAP = 4
+# the largest n of a SetFunction or a CorrelationTable
+MAX_N = 16
 
 
 def mask_from_indices(indices, n: int) -> int:
@@ -87,8 +89,8 @@ class SetFunction(_Record):
     values: tuple[float, ...]
 
     def __init__(self, n: int, values: tuple[float, ...]) -> None:
-        if not 1 <= n <= 16:
-            raise ValueError(f"n must lie in 1..16, got {n}")
+        if not 1 <= n <= MAX_N:
+            raise ValueError(f"n must lie in 1..{MAX_N}, got {n}")
         vals = tuple(map(float, values))
         if len(vals) != (1 << n) - 1:
             raise ValueError(
@@ -99,7 +101,7 @@ class SetFunction(_Record):
 
     @classmethod
     def _decoded(cls, n: int, values: tuple[float, ...]) -> "SetFunction":
-        # a tuple of 2**n - 1 floats for 1 <= n <= 16, as valuation_01's
+        # a tuple of 2**n - 1 floats for 1 <= n <= MAX_N, as valuation_01's
         # tables make it; skips the checks and conversion in __init__
         f = object.__new__(cls)
         object.__setattr__(f, "n", n)

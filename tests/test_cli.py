@@ -499,7 +499,7 @@ class TestErrorMessages:
         logic = '{"states": ["s1"], "logic": [[0], [1%s]], "family": [0]}' % ("0" * 400)
         path = _write(tmp_path / "logic.json", logic)
         err = self.run_error(["boolean", path], capsys)
-        assert err == "error: logic row 1: integer value outside the float range\n"
+        assert err == "error: logic row 1: value at state s1 outside the float range\n"
 
     def test_unparsable_logic_json(self, tmp_path, capsys):
         path = _write(tmp_path / "logic.json", '{"states": [')

@@ -52,6 +52,11 @@ class TestTableConstruction:
             CorrelationTable.build(SP1, 0, {})
         assert str(err.value) == "n must be positive, got 0"
 
+    def test_n_above_the_largest_is_rejected(self):
+        with pytest.raises(ValueError) as err:
+            CorrelationTable.build(SP1, 17, {})
+        assert str(err.value) == "n must be at most 16, got 17"
+
     def test_entries_exposed_by_mask(self):
         assert PAIR2.event(0b01).values == (0.6, 0.2)
         assert PAIR2.event(0b11).values == (0.4, 0.1)

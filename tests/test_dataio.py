@@ -302,6 +302,18 @@ class TestCorrelationsCsv:
             m: e.values for m, e in entries.items()
         }
 
+    @pytest.mark.parametrize(
+        "index", ["20", "100000000", "9" * 5000], ids=["20", "1e8", "5000-digits"]
+    )
+    def test_index_above_the_largest_n_rejected_at_its_line(self, index):
+        # rejected before any mask of that many bits is built
+        buffer = io.StringIO(f"state,subset,value\ns1,{{1}},0.5\ns1,{{{index}}},0.4\n")
+        with pytest.raises(DataFormatError) as err:
+            read_correlations_csv(buffer)
+        assert str(err.value) == (
+            f"line 3, column 'subset': index {index} outside 1..16 in '{{{index}}}'"
+        )
+
     def test_unsorted_subset_rejected(self):
         buffer = io.StringIO('state,subset,value\ns1,{1},0.5\ns1,"{2,1}",0.4\n')
         with pytest.raises(DataFormatError) as err:
@@ -453,7 +465,11 @@ class TestLogicJson:
             ),
             (
                 {"states": ["s1", "s2"], "logic": [[0, 0], [1, -(10**400)]], "family": [0]},
-                "logic row 1: integer value outside the float range",
+                "logic row 1: value at state s2 outside the float range",
+            ),
+            (
+                {"states": ["s1"], "logic": [[0], [2]], "family": [0]},
+                "logic row 1: value 2 at state s1 outside [0, 1]",
             ),
             (
                 {"states": ["s1"], "logic": [[0], [1]], "family": [1.0]},
@@ -472,6 +488,7 @@ class TestLogicJson:
             "logic-object",
             "member-value-out-of-range",
             "member-value-beyond-float",
+            "member-integer-out-of-range",
             "float-family",
             "bool-family",
         ],

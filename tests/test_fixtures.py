@@ -42,6 +42,23 @@ class TestMeasureAlgebra:
         with pytest.raises(ValueError):
             BooleanMeasureAlgebra(("a1", "a2"), space(1), ((1.0,),))
 
+    def test_needs_an_atom(self):
+        with pytest.raises(ValueError, match="^need at least one atom$"):
+            BooleanMeasureAlgebra((), space(1), ((),))
+
+    def test_needs_one_measure_row_per_state(self):
+        with pytest.raises(ValueError, match="^one measure row per state required$"):
+            BooleanMeasureAlgebra(("a1",), space(2), ((1.0,),))
+
+    @pytest.mark.parametrize("mask", [-1, 16])
+    def test_event_for_rejects_an_atom_mask_out_of_range(self, mask):
+        with pytest.raises(ValueError, match=f"^atom mask {mask} outside 0..15$"):
+            TWO_STATE.event_for(mask)
+
+    def test_correlation_table_needs_a_generator(self):
+        with pytest.raises(ValueError, match="^need at least one generator$"):
+            TWO_STATE.correlation_table([])
+
     def test_bounds_and_a_union(self):
         assert TWO_STATE.event_for(0).values == (0.0, 0.0)
         # float addition order keeps the top within rounding of 1, not at it
@@ -104,6 +121,10 @@ class TestMeasureAlgebra:
             gen_boolean_algebra(k=0, num_states=2, seed=1)
         with pytest.raises(ValueError):
             gen_boolean_algebra(k=11, num_states=2, seed=1)
+
+    def test_state_count_bound(self):
+        with pytest.raises(ValueError, match="^need at least one state$"):
+            gen_boolean_algebra(k=2, num_states=0, seed=1)
 
 
 class TestHilbert:

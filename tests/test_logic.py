@@ -8,6 +8,7 @@ import pytest
 from numevents import (
     BudgetExceededError,
     ConcreteLogic,
+    CorrelationTable,
     Event,
     EventFamily,
     NotInLogicError,
@@ -27,8 +28,11 @@ from numevents import (
     mask_event,
     one_event,
     pointwise_min,
+    witness_relations,
+    witnesses_from_correlations,
     zero_event,
 )
+from numevents import correlations
 from helpers import (
     closure_oracle,
     gaps_reference,
@@ -598,6 +602,52 @@ class TestMinimaCriterion:
         with pytest.raises(NumericalEventError):
             boolean_by_minima(big, fam(big, *masks))
 
+    def test_witnesses_equal_those_of_the_minima_table(self):
+        rng = random.Random(7)
+        booleans = Counter()
+        for seed in range(80):
+            logic = random_logic(seed, 3 + seed % 5, 2 + seed % 3)
+            pool = nontrivial_masks(logic)
+            for n in (2, 3, 4):
+                if len(pool) < n:
+                    continue
+                family = fam(logic, *rng.sample(pool, n))
+                verdict = boolean_by_minima(logic, family)
+                if not verdict.boolean:
+                    continue
+                booleans[n] += 1
+                table = CorrelationTable.build(
+                    logic.space,
+                    n,
+                    {
+                        mask: pointwise_min(
+                            [p for i, p in enumerate(family) if mask >> i & 1]
+                        )
+                        for mask in range(1, 1 << n)
+                    },
+                )
+                expected = witnesses_from_correlations(table)
+                assert list(verdict.witnesses.items()) == list(expected.items())
+        assert min(booleans[n] for n in (2, 3, 4)) >= 10
+
+    def test_builds_no_table_and_evaluates_no_row(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called from boolean_by_minima")
+
+        monkeypatch.setattr(CorrelationTable, "build", classmethod(refuse))
+        monkeypatch.setattr(correlations, "_evaluate_rows", refuse)
+        family = fam(POWER3, 0b011, 0b101, 0b110)
+        assert list(boolean_by_minima(POWER3, family).witnesses) == [
+            "a_12",
+            "a_13",
+            "a_23",
+            "a_1213",
+        ]
+        big = gfe_closure([mask_event(1 << i, SP4) for i in range(4)], SP4)
+        family = fam(big, 0b0011, 0b0110, 0b1100, 0b1001)
+        names = dict.fromkeys(name for name, _i, _j in witness_relations(4))
+        assert list(boolean_by_minima(big, family).witnesses) == list(names)
+
     def test_family_must_belong_to_the_logic(self):
         family = fam(EVEN_LOGIC, 0b0011, 0b0111)
         with pytest.raises(NotInLogicError):
@@ -612,6 +662,10 @@ class TestMinimaCriterion:
 class TestBooleanOracle:
     def test_even_logic_pair(self):
         assert boolean_oracle(EVEN_LOGIC, fam(EVEN_LOGIC, 0b0011, 0b0101)) is False
+
+    def test_family_space_must_match(self):
+        with pytest.raises(SpaceMismatchError):
+            boolean_oracle(EVEN_LOGIC, fam(POWER3, 0b011, 0b101))
 
     def test_power_set_pair(self):
         assert boolean_oracle(POWER3, fam(POWER3, 0b011, 0b101)) is True

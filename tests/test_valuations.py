@@ -225,6 +225,12 @@ class TestEnumeration:
             with pytest.raises(ValueError, match="outside 0..127"):
                 valuation_01(packed, 3)
 
+    def test_n_must_be_positive(self):
+        # a generator: the check runs at the first next()
+        listing = enumerate_01_valuations(0)
+        with pytest.raises(ValueError, match="^n must be positive, got 0$"):
+            next(listing)
+
     def test_cap_blocks_large_n(self):
         with pytest.raises(BudgetExceededError):
             next(enumerate_01_valuations(5))
