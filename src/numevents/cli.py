@@ -34,6 +34,7 @@ from .logic import (
 from .tolerance import DEFAULT_EPS, _checked, eps_scope, get_eps
 from .valuations import (
     ENUMERATION_CAP,
+    MAX_N,
     count_01_valuations,
     enumerate_01_valuations,
     format_subset,
@@ -228,6 +229,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> _Output:
         raise NumericalEventError(
             f"enumeration for n={n} needs --override-enumeration-cap"
         )
+    if n > MAX_N:
+        raise NumericalEventError(f"n must be at most {MAX_N}, got {n}")
     count = count_01_valuations(n)
     valuations = enumerate_01_valuations(n, allow_large=True)
     report = {

@@ -98,13 +98,6 @@ class CorrelationTable(_Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(
-        self, space: StateSpace, n: int, entries: Mapping[int, Event]
-    ) -> None:
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", entries)
-
     @classmethod
     def build(
         cls, space: StateSpace, n: int, entries: Mapping[int, Event]
@@ -138,7 +131,7 @@ class CorrelationTable(_Record):
                         raise MonotonicityError(
                             f"p_{subset_labels(big)} exceeds p_{subset_labels(small)}"
                         )
-        return cls(space=space, n=n, entries=MappingProxyType(clean))
+        return cls(space, n, MappingProxyType(clean))
 
     def event(self, mask: int) -> Event:
         try:
@@ -180,24 +173,6 @@ class InequalityResult(_Record):
     violated: bool
     violating_state: str | None
 
-    def __init__(
-        self,
-        label: str,
-        coefficients: SetFunction,
-        per_state: tuple[float, ...] | None,
-        min_value: float,
-        max_value: float,
-        violated: bool,
-        violating_state: str | None,
-    ) -> None:
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "per_state", per_state)
-        object.__setattr__(self, "min_value", min_value)
-        object.__setattr__(self, "max_value", max_value)
-        object.__setattr__(self, "violated", violated)
-        object.__setattr__(self, "violating_state", violating_state)
-
 
 def evaluate_inequality(
     f: SetFunction, table: CorrelationTable, label: str | None = None
@@ -220,14 +195,10 @@ def _results(
             if violating_state is None:
                 continue
             per_state = None
+        # by position, which binds fastest: the flat table builds 10 240
+        violated = violating_state is not None
         results[row] = InequalityResult(
-            label=labels[row],
-            coefficients=fs[row],
-            per_state=per_state,
-            min_value=lo,
-            max_value=hi,
-            violated=violating_state is not None,
-            violating_state=violating_state,
+            labels[row], fs[row], per_state, lo, hi, violated, violating_state
         )
     return [r for r in results if r is not None]
 

@@ -353,10 +353,12 @@ def read_logic_json(source) -> tuple[StateSpace, tuple[Event, ...], tuple[int, .
     import json
 
     with _opened(source, "r") as stream:
-        try:
-            data = json.load(stream)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"invalid JSON: {exc}") from exc
+        text = stream.read()
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
+        raise DataFormatError(f"invalid JSON: {exc}") from exc
+    del text  # freed before the rows are built, as json.load frees it
     if not isinstance(data, dict):
         raise DataFormatError("top level must be an object")
     for key in ("states", "logic", "family"):

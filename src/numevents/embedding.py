@@ -55,8 +55,7 @@ class Container(_Record):
     size: int | None
 
     def __init__(self, kind: str, size: int | None = None) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "size", size)
+        _Record.__init__(self, kind, size)
 
     def __str__(self) -> str:
         if self.kind == "MO":
@@ -77,18 +76,6 @@ class EmbeddingReport(_Record):
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
-
-    def __init__(
-        self,
-        verdict: str,
-        container: Container | None,
-        reasons: tuple[str, ...],
-        witnesses: tuple[LabeledEvent, ...],
-    ) -> None:
-        self.verdict = verdict
-        self.container = container
-        self.reasons = reasons
-        self.witnesses = witnesses
 
 
 def _labeled(family: EventFamily, with_complements: bool) -> list[LabeledEvent]:

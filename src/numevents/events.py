@@ -84,6 +84,8 @@ class BudgetExceededError(NumericalEventError):
 class _Record:
     """An immutable record whose fields are its __slots__, in constructor order.
 
+    The constructor takes the fields by position in that order or by
+    name; a class that checks its fields writes its own __init__.
     Records compare and hash by their field values, and only with their
     own class; repr is ``Name(field=value, ...)``, and copy and pickle
     rebuild a record through its constructor. A mutable record puts
@@ -91,6 +93,27 @@ class _Record:
     """
 
     __slots__ = ()
+
+    def __init__(self, *values: object, **named: object) -> None:
+        fields = self.__slots__
+        if named or len(values) != len(fields):
+            name = self.__class__.__qualname__
+            if len(values) > len(fields):
+                raise TypeError(f"{name}() takes {len(fields)} fields, got {len(values)}")
+            bound = dict(zip(fields, values))
+            for field, value in named.items():
+                if field not in fields:
+                    raise TypeError(f"{name}() got an unexpected field {field!r}")
+                if field in bound:
+                    raise TypeError(f"{name}() got field {field!r} twice")
+                bound[field] = value
+            for field in fields:
+                if field not in bound:
+                    raise TypeError(f"{name}() missing field {field!r}")
+            values = tuple(map(bound.__getitem__, fields))
+        setfield = object.__setattr__
+        for field, value in zip(fields, values):
+            setfield(self, field, value)
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))

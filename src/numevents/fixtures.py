@@ -134,16 +134,6 @@ class HilbertFixture(_Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(
-        self,
-        dim: int,
-        projectors: tuple[np.ndarray, ...],
-        state_vectors: tuple[np.ndarray, ...],
-    ) -> None:
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "projectors", projectors)
-        object.__setattr__(self, "state_vectors", state_vectors)
-
 
 def gen_hilbert_fixture(
     dim: int, num_projectors: int, num_states: int, seed: int
@@ -177,9 +167,7 @@ def gen_hilbert_fixture(
     for _ in range(num_states):
         x = rng.normal(size=dim)
         vectors.append(x / np.linalg.norm(x))
-    return HilbertFixture(
-        dim=dim, projectors=tuple(projectors), state_vectors=tuple(vectors)
-    )
+    return HilbertFixture(dim, tuple(projectors), tuple(vectors))
 
 
 def hilbert_events(

@@ -139,11 +139,6 @@ class LogicDefect(_Record):
     detail: str
     offenders: tuple[Event, ...]
 
-    def __init__(self, axiom: str, detail: str, offenders: tuple[Event, ...]) -> None:
-        object.__setattr__(self, "axiom", axiom)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "offenders", offenders)
-
 
 class ConcreteLogic(_Record):
     """A closed set of two-valued events, stored as state-subset masks."""
@@ -365,11 +360,6 @@ class CommuteWitness(_Record):
     f: Event
     g: Event
 
-    def __init__(self, a: Event, f: Event, g: Event) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-
 
 def commutation_chain_holds(a: Event, f: Event, g: Event) -> bool:
     """Check a <= f <= a + g <= 1 pointwise within tolerance."""
@@ -381,11 +371,6 @@ def commutation_chain_holds(a: Event, f: Event, g: Event) -> bool:
         if fv > s + eps or s > 1.0 + eps:
             return False
     return True
-
-
-def _witness_candidate(f: Event, g: Event) -> Event:
-    # the chain forces a(s) = 1 exactly where f(s)=1 and g(s)=0
-    return pointwise_min([f, complement(g)])
 
 
 def commute_witness(
@@ -417,15 +402,14 @@ def commute_witness(
             raise NotInLogicError(f"{name} is not a member of the logic")
 
     if is_two_valued(f) and is_two_valued(g):
-        candidate = _witness_candidate(f, g)
-        if contains(candidate):
-            return CommuteWitness(a=candidate, f=f, g=g)
-        return None
+        # the chain forces a(s) = 1 exactly where f(s) = 1 and g(s) = 0
+        a = pointwise_min([f, complement(g)])
+        return CommuteWitness(a, f, g) if contains(a) else None
 
     assert members is not None  # a ConcreteLogic only has two-valued members
     for a in members:
         if commutation_chain_holds(a, f, g):
-            return CommuteWitness(a=a, f=f, g=g)
+            return CommuteWitness(a, f, g)
     return None
 
 
@@ -441,16 +425,6 @@ class BooleanVerdict(_Record):
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
-
-    def __init__(
-        self,
-        boolean: bool,
-        missing_minimum: tuple[int, ...] | None,
-        witnesses: dict[str, Event] | None,
-    ) -> None:
-        self.boolean = boolean
-        self.missing_minimum = missing_minimum
-        self.witnesses = witnesses
 
 
 def boolean_by_minima(logic: ConcreteLogic, family: EventFamily) -> BooleanVerdict:

@@ -56,6 +56,11 @@ def mask_from_indices(indices, n: int) -> int:
     return mask
 
 
+def _check_mask(mask: int, n: int) -> None:
+    if not 1 <= mask < (1 << n):
+        raise ValueError(f"mask {mask} outside 1..{(1 << n) - 1}")
+
+
 def indices_from_mask(mask: int) -> tuple[int, ...]:
     """Sorted 1-based indices of a bitmask."""
     ids = []
@@ -109,8 +114,7 @@ class SetFunction(_Record):
         return f
 
     def value(self, mask: int) -> float:
-        if not 1 <= mask < (1 << self.n):
-            raise ValueError(f"mask {mask} outside 1..{(1 << self.n) - 1}")
+        _check_mask(mask, self.n)
         return self.values[mask - 1]
 
     def items(self) -> Iterator[tuple[int, float]]:
@@ -128,16 +132,14 @@ class SetFunction(_Record):
     def from_map(cls, n: int, mapping: Mapping[int, float]) -> "SetFunction":
         vals = [0.0] * ((1 << n) - 1)
         for mask, v in mapping.items():
-            if not 1 <= mask < (1 << n):
-                raise ValueError(f"mask {mask} outside 1..{(1 << n) - 1}")
+            _check_mask(mask, n)
             vals[mask - 1] = float(v)
         return cls(n, tuple(vals))
 
 
 def elementary_valuation(i_mask: int, n: int) -> SetFunction:
     """The coefficient function f_I: (-1)**|J \\ I| on supersets J of I, else 0."""
-    if not 1 <= i_mask < (1 << n):
-        raise ValueError(f"mask {i_mask} outside 1..{(1 << n) - 1}")
+    _check_mask(i_mask, n)
     vals = []
     for j in range(1, 1 << n):
         if j & i_mask == i_mask:
@@ -273,9 +275,8 @@ def pair_inequality(i_mask: int, j_mask: int, n: int) -> SetFunction:
     The partial sums of this function are 1 exactly on the supersets of
     I or of J, and 0 elsewhere, so it is a valid 0/1 valuation.
     """
-    for mask in (i_mask, j_mask):
-        if not 1 <= mask < (1 << n):
-            raise ValueError(f"mask {mask} outside 1..{(1 << n) - 1}")
+    _check_mask(i_mask, n)
+    _check_mask(j_mask, n)
     meet = i_mask & j_mask
     if meet == i_mask or meet == j_mask:
         raise ValueError(

@@ -501,6 +501,42 @@ class TestErrorMessages:
         err = self.run_error(["boolean", path], capsys)
         assert err == "error: logic row 1: value at state s1 outside the float range\n"
 
+    @pytest.mark.parametrize("n", [17, 10**6])
+    def test_enumerate_above_max_n_with_the_override(self, n, capsys):
+        # rejected before any table of 2**n items is built
+        err = self.run_error(["enumerate", str(n), "--override-enumeration-cap"], capsys)
+        assert err == f"error: n must be at most 16, got {n}\n"
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            (
+                '{"states": ["s1"], "logic": [[0], [1%s]], "family": [0]}' % ("0" * 5000),
+                "Exceeds the limit (4300 digits) for integer string conversion: value "
+                "has 5001 digits; use sys.set_int_max_str_digits() to increase the limit",
+            ),
+            (
+                "[" * 100_000 + "]" * 100_000,
+                "maximum recursion depth exceeded while decoding a JSON array "
+                "from a unicode string",
+            ),
+        ],
+        ids=["5001-digit-integer", "100000-deep"],
+    )
+    def test_logic_json_that_json_cannot_parse(self, text, reason, tmp_path, capsys):
+        path = _write(tmp_path / "logic.json", text)
+        err = self.run_error(["boolean", path], capsys)
+        assert err == f"error: invalid JSON: {reason}\n"
+
+    def test_logic_json_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "logic.json"
+        path.write_bytes(b'{"states": ["\xff"]}')
+        err = self.run_error(["boolean", str(path)], capsys)
+        assert err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 13: "
+            "invalid start byte\n"
+        )
+
     def test_unparsable_logic_json(self, tmp_path, capsys):
         path = _write(tmp_path / "logic.json", '{"states": [')
         err = self.run_error(["boolean", path], capsys)

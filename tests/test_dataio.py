@@ -60,6 +60,21 @@ JSON_VALUES = st.recursive(
 )
 
 
+# logic files that json cannot parse, with what json says about each
+UNPARSABLE_JSON = [
+    (
+        '{"states": ["s1"], "logic": [[0], [1%s]], "family": [0]}' % ("0" * 5000),
+        "Exceeds the limit (4300 digits) for integer string conversion: "
+        "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit",
+    ),
+    (
+        "[" * 100_000 + "]" * 100_000,
+        "maximum recursion depth exceeded while decoding a JSON array "
+        "from a unicode string",
+    ),
+]
+
+
 def data(name):
     return os.path.join(DATA_DIR, name)
 
@@ -497,6 +512,23 @@ class TestLogicJson:
         with pytest.raises(DataFormatError) as err:
             read_logic_json(io.StringIO(json.dumps(payload)))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, reason", UNPARSABLE_JSON, ids=["5001-digit-integer", "100000-deep"]
+    )
+    def test_json_that_json_cannot_parse_is_a_format_error(self, text, reason):
+        with pytest.raises(DataFormatError) as err:
+            read_logic_json(io.StringIO(text))
+        assert str(err.value) == f"invalid JSON: {reason}"
+
+    def test_a_file_that_is_not_utf8_raises_the_decoders_error(self, tmp_path):
+        path = tmp_path / "logic.json"
+        path.write_bytes(b'{"states": ["\xff"]}')
+        with pytest.raises(UnicodeDecodeError) as err:
+            read_logic_json(str(path))
+        assert str(err.value) == (
+            "'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"
+        )
 
     def test_fractional_members_are_readable(self):
         # axiom checking happens later; the file format itself allows any

@@ -1,11 +1,14 @@
 """The record classes: constructors, equality, hashing, repr, immutability,
 copy and pickle, each as the earlier dataclass versions gave them."""
 
+import ast
 import copy
 import pickle
+from pathlib import Path
 
 import pytest
 
+import numevents
 from numevents import (
     BooleanMeasureAlgebra,
     BooleanVerdict,
@@ -204,3 +207,140 @@ def test_constructors_still_check_their_fields():
         ConcreteLogic(ab(), frozenset({0, 1}))
     # a copy rebuilds through the constructor, so it clamps as that does
     assert copy.copy(Event((-0.0, 1.0), ab())).values == (0.0, 1.0)
+
+
+# the records that only store their fields and take them from _Record
+FIELD_ONLY = [
+    lambda: InequalityResult("r", None, None, 0.0, 1.0, False, None),
+    lambda: LogicDefect("A1", "zero event missing", ()),
+    lambda: CommuteWitness(None, None, None),
+    lambda: BooleanVerdict(False, (1, 2), None),
+    lambda: EmbeddingReport("EMBEDDABLE", None, (), ()),
+    lambda: CorrelationTable(ab(), 1, {}),
+    lambda: HilbertFixture(2, (), ()),
+]
+
+
+def test_the_field_only_records_share_one_constructor():
+    for make in FIELD_ONLY:
+        assert "__init__" not in vars(type(make()))
+
+
+@pytest.mark.parametrize("make", FIELD_ONLY)
+def test_wrong_constructor_calls_name_the_class(make):
+    record = make()
+    cls, name, values = type(record), type(record).__qualname__, record._values()
+    first, last, count = record.__slots__[0], record.__slots__[-1], len(values)
+    calls = [
+        (values[:-1], {}, f"{name}() missing field {last!r}"),
+        (values + (None,), {}, f"{name}() takes {count} fields, got {count + 1}"),
+        (values, {"extra": None}, f"{name}() got an unexpected field 'extra'"),
+        (values, {first: None}, f"{name}() got field {first!r} twice"),
+        ((), {last: None}, f"{name}() missing field {first!r}"),
+    ]
+    for args, named, message in calls:
+        with pytest.raises(TypeError) as err:
+            cls(*args, **named)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("make", FIELD_ONLY)
+def test_position_and_name_bind_alike(make):
+    record = make()
+    values = record._values()
+    twin = type(record)(values[0], **dict(zip(record.__slots__[1:], values[1:])))
+    assert fields(twin) == fields(record)
+
+
+def test_container_supplies_only_the_default_size():
+    assert Container("BOOLEAN_8") == Container("BOOLEAN_8", None)
+    assert Container(kind="MO", size=4) == Container("MO", 4)
+    with pytest.raises(TypeError):
+        Container()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BooleanVerdict(boolean=True, missing_minimum=None, witnesses={}),
+        lambda: EmbeddingReport(
+            verdict="UNDECIDED", container=None, reasons=("r",), witnesses=()
+        ),
+    ],
+)
+def test_mutable_records_built_by_keyword_stay_mutable(make):
+    record = make()
+    for name in record.__slots__:
+        setattr(record, name, "changed")
+        assert getattr(record, name) == "changed"
+    with pytest.raises(TypeError):
+        hash(record)
+
+
+def _store_only_records(tree):
+    """Names of the classes in tree whose __init__ only stores values:
+    after any docstring, nothing but object.__setattr__(self, ...) calls
+    and self.<name> = ... assignments."""
+
+    def stores(statement):
+        if isinstance(statement, ast.Assign):
+            return all(
+                isinstance(t, ast.Attribute)
+                and isinstance(t.value, ast.Name)
+                and t.value.id == "self"
+                for t in statement.targets
+            )
+        if isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Call):
+            call = statement.value
+            return (
+                ast.unparse(call.func) == "object.__setattr__"
+                and bool(call.args)
+                and ast.unparse(call.args[0]) == "self"
+            )
+        return False
+
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if "_Record" not in {ast.unparse(base) for base in node.bases}:
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                body = item.body
+                if ast.get_docstring(item) is not None:
+                    body = body[1:]
+                if body and all(map(stores, body)):
+                    found.append(node.name)
+    return found
+
+
+def test_no_record_writes_a_constructor_that_only_stores_its_fields():
+    package = Path(numevents.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{name}" for name in _store_only_records(tree)]
+    assert found == []
+
+
+def test_the_store_guard_finds_a_store_only_constructor():
+    source = '''
+class Stored(_Record):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        """Docstring."""
+        object.__setattr__(self, "a", a)
+        self.b = b
+
+
+class Checked(_Record):
+    __slots__ = ("a",)
+
+    def __init__(self, a):
+        if a is None:
+            raise ValueError("a")
+        object.__setattr__(self, "a", a)
+'''
+    assert _store_only_records(ast.parse(source)) == ["Stored"]
