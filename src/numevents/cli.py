@@ -231,6 +231,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> _Output:
         )
     if n > MAX_N:
         raise NumericalEventError(f"n must be at most {MAX_N}, got {n}")
+    # 2**k - 1 has floor(k * log10(2)) + 1 digits, as 2**k; 0.30103 is exact enough up to MAX_N
+    limit, digits = sys.get_int_max_str_digits(), ((1 << n) - 1) * 30103 // 100000 + 1
+    if 0 < limit < digits:
+        raise NumericalEventError(
+            f"count 2**{(1 << n) - 1} - 1 for n={n} has {digits} digits, above the "
+            f"{limit}-digit limit of int-to-text conversion (PYTHONINTMAXSTRDIGITS)"
+        )
     count = count_01_valuations(n)
     valuations = enumerate_01_valuations(n, allow_large=True)
     report = {

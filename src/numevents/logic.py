@@ -6,38 +6,37 @@ two-valued event is the indicator of a state subset, the whole module
 works on bitmasks: complement is XOR with the full mask, orthogonality
 is disjointness, and orthogonal sum is union.
 
-One semi-naive kernel, ``_gaps``, finds every missing complement (A2)
-or disjoint union (A3). It decides the axioms for all three users:
-``gfe_closure`` adds its gaps round by round, ``ConcreteLogic``
-validation reports the axiom of its first gap, and
-``check_concrete_logic`` reports the first gap with its offenders. A
-closure built by the kernel is not checked a second time. The kernel
-pairs each member only with the members disjoint from it: one bitset
-per state marks the sorted members lacking that state, and the AND of
-those over a member's states is its partner set. Partners are visited
-lowest first, so the gaps keep the order of a loop over all pairs.
+Up to 16 states the axioms are decided on one int, ``bits``, with bit m
+set for member m: 2**S bits, 8 KiB at 16 and doubling with each state.
+Complement (m -> full ^ m) reverses the bit order, and as a | b = a + b
+for disjoint a and b, ``(bits & disjoint) << a`` adds a to every member
+disjoint from it in one shift; ``disjoint`` ANDs one bitset per state of
+a, of the masks lacking that state. Above 16 states the semi-naive
+kernel ``_gaps`` pairs each frontier member with its disjoint partners,
+found the same way among the sorted members and visited lowest first,
+so the gaps keep the order of a loop over all pairs. Either route serves
+``gfe_closure``, ``ConcreteLogic`` and ``check_concrete_logic``.
 
-Validation runs the kernel with only the atoms (minimal non-zero
-members) on its frontier, by this lemma. Let L be a finite set of masks
-that holds 0 and is closed under complement, and suppose a | x is in L
-for every a in L and every atom x disjoint from a. Take a non-zero b in
-L and an atom x inside b. The complement b' is disjoint from x, so
-b' | x is in L, and so is its complement b - x. As b - x has fewer
-states than b, induction makes b a disjoint union of atoms. Adding
-those atoms to a disjoint a one at a time keeps every step in L, so
-a | b is in L: L is closed under disjoint unions. (In orthomodular
-terms, every element of a finite orthomodular poset is an orthogonal
-sum of atoms; Ptak and Pulmannova, *Orthomodular Structures as Quantum
-Logics*, 1991.)
+Both routes decide A3 from the atoms (minimal non-zero members) alone,
+by this lemma. Let L be a finite set of masks that holds 0 and is
+closed under complement, and suppose a | x is in L for every a in L and
+every atom x disjoint from a. Take a non-zero b in L and an atom x
+inside b. The complement b' is disjoint from x, so b' | x is in L, and
+so is its complement b - x. As b - x has fewer states than b, induction
+makes b a disjoint union of atoms. Adding those atoms to a disjoint a
+one at a time keeps every step in L, so a | b is in L: L is closed
+under disjoint unions. (In orthomodular terms, every element of a
+finite orthomodular poset is an orthogonal sum of atoms; Ptak and
+Pulmannova, *Orthomodular Structures as Quantum Logics*, 1991.)
 
-So a set with L members, A of them atoms, costs O(L*A) subset tests to
-find the atoms (``_atoms``) plus one kernel pass over the pairs of an
-atom and a member disjoint from it, instead of a pass over every
-disjoint pair. A set that fails needs the full pass only to name the
-lexicographically first missing union, so only ``check_concrete_logic``
-runs it; ``ConcreteLogic`` stops at the atom pass. On the 14-state
-chain logic (3432 members) the 49 atoms meet 45 276 disjoint members,
-against 136 417 disjoint pairs of members.
+So a bitset takes one shift per atom, and the partner route one pass
+over the pairs of an atom and a member disjoint from it (45 276 on the
+14-state chain logic doubled, against 136 417 disjoint pairs). Only
+``check_concrete_logic`` runs the full ``_gaps`` pass, to name the first
+missing union of a failing set. The bitset closure adds complements,
+then each atom's unions, until nothing changes: every mask it adds lies
+in every logic that holds the seeds, and the lemma makes the fixpoint a
+logic, so it is the smallest one.
 
 Two independent routes decide whether a family sits inside a Boolean
 subalgebra of a logic P:
@@ -54,8 +53,8 @@ subalgebra of a logic P:
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import groupby
-from typing import Container, Iterable, Iterator
+from itertools import compress, groupby
+from typing import Collection, Container, Iterable, Iterator
 
 from .correlations import witness_relations
 from .events import (
@@ -277,8 +276,55 @@ def _atoms(members: Iterable[int]) -> list[int]:
     return sorted(atoms)
 
 
+_BITSET_STATES = 16  # a bitset of masks below 2**S has 2**S bits
+
+
+def _bitset(masks: Iterable[int], size: int) -> int:
+    """The masks, all below 2**size, as one int with bit m set for mask m."""
+    digits = bytearray(b"0") * (1 << size)
+    for m in masks:
+        digits[m] = 49  # "1"
+    return int(digits[::-1], 2)
+
+
+def _set_bits(bits: int) -> Iterator[int]:
+    digits = bin(bits)[:1:-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+    return compress(range(len(digits)), digits)
+
+
+def _complements(bits: int, size: int) -> int:
+    return int(format(bits, f"0{1 << size}b")[::-1], 2)
+
+
+def _lacking(size: int) -> list[int]:
+    """Per state k, the bitset of the masks below 2**size that lack k."""
+    return [
+        int(("0" * (1 << k) + "1" * (1 << k)) * (1 << (size - 1 - k)), 2)
+        for k in range(size)
+    ]
+
+
+def _bitset_atoms(bits: int, lacking: list[int]) -> list[int]:
+    """The minimal non-zero members: those no other member lies inside."""
+    nonzero, above = bits & ~1, 0
+    for k, row in enumerate(lacking):
+        # the masks strictly above a member that add only states 0..k to it
+        above |= ((nonzero | above) & row) << (1 << k)
+    return list(_set_bits(nonzero & ~above))
+
+
+def _add_unions(bits: int, lacking: list[int]) -> int:
+    """The bitset with the union of each atom and each member disjoint from it."""
+    for a in _bitset_atoms(bits, lacking):
+        disjoint = bits
+        for k in _set_bits(a):
+            disjoint &= lacking[k]
+        bits |= disjoint << a
+    return bits
+
+
 def _first_defect(
-    masks: Container[int], full: int, name_pair: bool = True
+    masks: Collection[int], full: int, name_pair: bool = True
 ) -> tuple[str, tuple[int, ...]] | None:
     """First violated axiom among A1-A3 with its offender masks, or None.
 
@@ -289,15 +335,24 @@ def _first_defect(
     """
     if 0 not in masks:
         return "A1", ()
-    members = sorted(masks)
-    for m in members:
-        if (m ^ full) not in masks:
-            return "A2", (m,)
-    if next(_gaps(masks, full, _atoms(members)), None) is None:
+    size = full.bit_length()
+    if size <= _BITSET_STATES:
+        bits = _bitset(masks, size)
+        missing = bits & ~_complements(bits, size)
+        if missing:
+            return "A2", ((missing & -missing).bit_length() - 1,)
+        closed = _add_unions(bits, _lacking(size)) == bits
+    else:
+        members = sorted(masks)
+        for m in members:
+            if (m ^ full) not in masks:
+                return "A2", (m,)
+        closed = next(_gaps(masks, full, _atoms(members)), None) is None
+    if closed:
         return None
     if not name_pair:
         return "A3", ()
-    axiom, _missing, offenders = next(_gaps(masks, full, members))
+    axiom, _missing, offenders = next(_gaps(masks, full, sorted(masks)))
     return axiom, offenders
 
 
@@ -310,7 +365,7 @@ def gfe_closure(
     """Smallest concrete logic containing the given two-valued events.
 
     Fixpoint under complement and disjoint union, seeded with 0 and 1;
-    each round pairs only the members the previous round added. More
+    above 16 states each round pairs only the last round's additions. More
     than max_size members, seeds included, raises BudgetExceededError.
     An empty collection needs an explicit state space and yields {0, 1}.
     """
@@ -320,6 +375,13 @@ def gfe_closure(
     space = _one_space(items, "events", space)
     full = (1 << space.size) - 1
     masks = {0, full, *map(event_mask, items)}
+    if space.size <= _BITSET_STATES:
+        bits, lacking, before = _bitset(masks, space.size), _lacking(space.size), 0
+        while bits != before:  # bit 0 is set: 0 is a member
+            before, bits = bits, _add_unions(bits | _complements(bits, space.size), lacking)
+            if bits.bit_count() > max_size:
+                raise BudgetExceededError("budget exceeded: closure size")
+        return ConcreteLogic._closed(space, _set_bits(bits))
     frontier = sorted(masks)
     while frontier:
         if len(masks) > max_size:

@@ -32,6 +32,24 @@ def kernel_frontiers(monkeypatch):
     monkeypatch.setattr(logic_module, "_gaps", counting)
     return frontiers
 
+
+@pytest.fixture
+def bitset_passes(monkeypatch):
+    """Atom count of every whole-bitset pass of the concrete-logic axioms:
+    one per decision up to 16 states, and one per closure step."""
+    import numevents.logic as logic_module
+
+    counts = []
+    real = logic_module._bitset_atoms
+
+    def counting(bits, lacking):
+        atoms = real(bits, lacking)
+        counts.append(len(atoms))
+        return atoms
+
+    monkeypatch.setattr(logic_module, "_bitset_atoms", counting)
+    return counts
+
 settings.register_profile(
     "deterministic",
     derandomize=True,

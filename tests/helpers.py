@@ -55,6 +55,17 @@ def gaps_reference(masks, full, frontier):
                 yield "A3", a | b, (a, b) if a < b else (b, a)
 
 
+def blow_up(mask, copies):
+    """The mask with state k replaced by copies[k] adjacent states, in
+    state order: an order-preserving Boolean embedding of the masks."""
+    out = start = 0
+    for k, width in enumerate(copies):
+        if mask >> k & 1:
+            out |= ((1 << width) - 1) << start
+        start += width
+    return out
+
+
 def minimal_members(masks):
     """The non-zero masks with no other non-zero mask inside, ascending."""
     return sorted(

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import inspect
 import json
@@ -11,6 +12,7 @@ import pytest
 import numevents
 import numevents.cli as cli
 from numevents import (
+    NumericalEventError,
     StateSpace,
     count_01_valuations,
     enumerate_01_valuations,
@@ -289,24 +291,26 @@ def test_pairs_only_flag_is_gone(capsys):
     capsys.readouterr()
 
 
-def test_boolean_checks_the_logic_once(kernel_frontiers, capsys):
+def test_boolean_checks_the_logic_once(kernel_frontiers, bitset_passes, capsys):
     assert main(["--format", "json", "boolean", data("power_logic.json")]) == 0
-    # one kernel call, over the three singletons of the 8-member power set
-    assert kernel_frontiers == [3]
+    # one bitset pass, over the three singletons of the 8-member power set
+    assert bitset_passes == [3]
+    assert kernel_frontiers == []
     assert json.loads(capsys.readouterr().out)["logic_size"] == 8
 
 
 def test_boolean_runs_the_full_pass_once_on_a_logic_failing_a3(
-    kernel_frontiers, tmp_path, capsys
+    kernel_frontiers, bitset_passes, tmp_path, capsys
 ):
     # the power set of four states without {s1,s2} and its complement
     sp = StateSpace(("s1", "s2", "s3", "s4"))
     path = str(tmp_path / "broken.json")
     write_logic_json(sp, [mask_event(m, sp) for m in range(16) if m not in (3, 12)], [1], path)
     assert main(["boolean", path]) == 1
-    # the constructor's atom pass, then check_concrete_logic's atom pass
-    # and the full pass that names the first pair
-    assert kernel_frontiers == [4, 4, 14]
+    # the constructor's bitset pass, then check_concrete_logic's bitset
+    # pass and the full kernel pass that names the first pair
+    assert bitset_passes == [4, 4]
+    assert kernel_frontiers == [14]
     assert capsys.readouterr() == (
         "",
         "error: axiom A3 violated: orthogonal sum missing "
@@ -444,6 +448,41 @@ def test_the_flat_tables_rows_share_their_coefficient_floats(flat_table):
     assert len(set(map(id, coefficients))) <= len(set(map(repr, coefficients)))
 
 
+@pytest.fixture
+def int_string_limit():
+    """Set Python's digit limit for int-to-text conversion for one test."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+def _enumerate_args(n):
+    return argparse.Namespace(n=n, override_enumeration_cap=True)
+
+
+def test_enumerate_13_starts_with_the_count(int_string_limit):
+    int_string_limit(4300)
+    code, report, lines = cli._cmd_enumerate(_enumerate_args(13))
+    assert code == 0
+    assert report["count"] == count_01_valuations(13) == 2**8191 - 1
+    assert next(iter(lines)) == str(2**8191 - 1)
+
+
+def test_enumerate_counts_the_digits_of_every_count(int_string_limit):
+    int_string_limit(0)
+    digits = [len(str(count_01_valuations(n))) for n in range(1, 17)]
+    # the smallest limit Python takes: n = 11 fits, n = 12 does not
+    int_string_limit(640)
+    for n, count_digits in enumerate(digits, start=1):
+        if count_digits <= 640:
+            _code, _report, lines = cli._cmd_enumerate(_enumerate_args(n))
+            assert next(iter(lines)) == str(count_01_valuations(n))
+        else:
+            with pytest.raises(NumericalEventError, match=f" has {count_digits} digits, "):
+                cli._cmd_enumerate(_enumerate_args(n))
+    assert digits[10] <= 640 < digits[11]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_enumerate_prints_each_valuation_as_integers(n, monkeypatch):
     expected = f"{count_01_valuations(n)}\n" + "".join(
@@ -506,6 +545,19 @@ class TestErrorMessages:
         # rejected before any table of 2**n items is built
         err = self.run_error(["enumerate", str(n), "--override-enumeration-cap"], capsys)
         assert err == f"error: n must be at most 16, got {n}\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("n, digits", [(14, 4932), (16, 19729)])
+    def test_enumerate_count_above_the_int_string_limit(
+        self, n, digits, fmt, int_string_limit, capsys
+    ):
+        int_string_limit(4300)
+        argv = ["--format", fmt, "enumerate", str(n), "--override-enumeration-cap"]
+        err = self.run_error(argv, capsys)
+        assert err == (
+            f"error: count 2**{(1 << n) - 1} - 1 for n={n} has {digits} digits, above "
+            "the 4300-digit limit of int-to-text conversion (PYTHONINTMAXSTRDIGITS)\n"
+        )
 
     @pytest.mark.parametrize(
         "text, reason",

@@ -34,6 +34,7 @@ from numevents import (
 )
 from numevents import correlations
 from helpers import (
+    blow_up,
     closure_oracle,
     gaps_reference,
     minimal_members,
@@ -41,7 +42,17 @@ from helpers import (
     random_logic,
     space,
 )
-from numevents.logic import _atoms, _first_defect, _gaps, _outside
+from numevents.logic import (
+    _atoms,
+    _bitset,
+    _bitset_atoms,
+    _complements,
+    _first_defect,
+    _gaps,
+    _lacking,
+    _outside,
+    _set_bits,
+)
 
 SP3 = space(3)
 SP4 = space(4)
@@ -147,6 +158,24 @@ class TestClosure:
         # the seeds are already closed, so no round adds a member
         with pytest.raises(BudgetExceededError):
             gfe_closure(POWER3.events, SP3, max_size=4)
+
+    # the two cases above and the even logic, each as it is and blown up
+    # above 16 states, where the closure pairs members
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize(
+        "num_states, seeds, size",
+        [(5, (1, 2, 4, 8, 16), 32), (3, tuple(range(8)), 8), (4, EVEN_SEEDS, 6)],
+    )
+    def test_both_routes_stop_at_the_same_size(
+        self, wide, num_states, seeds, size, kernel_frontiers
+    ):
+        copies = [16 // num_states + 1 if wide else 1] * num_states
+        sp = space(sum(copies))
+        events = [mask_event(blow_up(m, copies), sp) for m in seeds]
+        assert len(gfe_closure(events, sp, max_size=size)) == size
+        with pytest.raises(BudgetExceededError, match="^budget exceeded: closure size$"):
+            gfe_closure(events, sp, max_size=size - 1)
+        assert bool(kernel_frontiers) == wide == (sp.size > 16)
 
     def test_non_two_valued_seed_rejected(self):
         with pytest.raises(NotTwoValuedError):
@@ -264,16 +293,81 @@ class TestKernelAgainstOracle:
             assert logic.masks == closure_oracle(seeds, num_states)
 
     def test_closure_checks_each_member_once(self, kernel_frontiers):
-        logic = gfe_closure([mask_event(m, space(6)) for m in (3, 6, 12, 24)], space(6))
+        small = gfe_closure([mask_event(m, space(6)) for m in (3, 6, 12, 24)], space(6))
+        assert kernel_frontiers == []
+        # three copies of each state: 18 states, where the kernel pairs members
+        seeds = [mask_event(blow_up(m, [3] * 6), space(18)) for m in (3, 6, 12, 24)]
+        logic = gfe_closure(seeds, space(18))
+        assert len(logic) == len(small)
         assert len(kernel_frontiers) > 1
         # each member is paired as part of one frontier, and never again
         assert sum(kernel_frontiers) == len(logic)
 
-    def test_constructor_checks_once(self, kernel_frontiers):
+    def test_constructor_checks_once(self, kernel_frontiers, bitset_passes):
         ConcreteLogic(space=EVEN_LOGIC.space, masks=EVEN_LOGIC.masks)
-        # one kernel call, over the four two-point members
-        assert kernel_frontiers == [4]
+        # one bitset pass, over the four two-point members, and no kernel call
+        assert bitset_passes == [4]
+        assert kernel_frontiers == []
 
+
+
+def _blown_up_cases(seed, count):
+    """Inputs of 6 to 8 states with each state blown up into 2 or 3
+    copies, 17 to 24 states in all: closure seeds, and a member set with
+    0 as _kernel_cases draws it, closed and cut or at random, or cut by
+    a complementary pair or closed under complement, which only A3 fails."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        num_states = rng.randint(6, 8)
+        copies = [rng.randint(2, 3) for _ in range(num_states)]
+        while sum(copies) < 17:
+            copies[rng.randrange(num_states)] = 3
+        full = (1 << num_states) - 1
+        seeds = rng.sample(range(1, full), rng.randint(0, 4))
+        closure = sorted(closure_oracle(seeds, num_states))
+        picks = rng.sample(range(full + 1), rng.randint(1, 30))
+        masks = [
+            set(closure) - set(rng.sample(closure, min(len(closure), rng.randint(0, 3)))),
+            set(picks),
+            set(closure) - {closure[-2], closure[-2] ^ full},
+            {*picks, *(m ^ full for m in picks)},
+        ][rng.randrange(4)]
+        masks.add(0)
+        yield num_states, copies, seeds, frozenset(masks)
+
+
+class TestRoutesAgree:
+    """Blowing each state up into adjacent copies embeds the masks of a
+    small space in a space above 16 states, keeping their order, so the
+    partner route there must give the bitset route's results blown up."""
+
+    def test_partner_route_gives_the_blown_up_bitset_results(
+        self, kernel_frontiers, bitset_passes
+    ):
+        seen = Counter()
+        for num_states, copies, seeds, masks in _blown_up_cases(71, 60):
+            wide = sum(copies)
+            assert 17 <= wide <= 24
+
+            def blown(items):
+                return [blow_up(m, copies) for m in items]
+
+            small, big = space(num_states), space(wide)
+            logic = gfe_closure([mask_event(m, small) for m in seeds], small)
+            defect = _first_defect(masks, (1 << num_states) - 1)
+            kernel_frontiers.clear()
+            bitset_passes.clear()
+            wide_logic = gfe_closure([mask_event(m, big) for m in blown(seeds)], big)
+            wide_masks = frozenset(blown(masks))
+            wide_defect = _first_defect(wide_masks, (1 << wide) - 1)
+            assert kernel_frontiers and not bitset_passes
+            assert wide_logic.masks == closure_oracle(blown(seeds), wide)
+            assert wide_logic.masks == frozenset(blown(logic.masks))
+            gap = next(gaps_reference(wide_masks, (1 << wide) - 1, sorted(wide_masks)), None)
+            assert wide_defect == (gap and (gap[0], gap[2]))
+            assert wide_defect == (defect and (defect[0], tuple(blown(defect[1]))))
+            seen[defect and defect[0]] += 1
+        assert min(seen[axiom] for axiom in (None, "A2", "A3")) >= 5, seen
 
 
 def _kernel_cases(seed, count):
@@ -387,10 +481,39 @@ class TestAtomRoute:
             seen[expected and expected[0]] += 1
         assert min(seen[axiom] for axiom in (None, "A1", "A2", "A3")) >= 20, seen
 
-    def test_only_a_failing_set_runs_the_full_pass(self, kernel_frontiers):
+    def test_only_a_failing_set_runs_the_full_pass(self, kernel_frontiers, bitset_passes):
         masks = frozenset([0, 0b0001, 0b1110, 0b0010, 0b1101, 0b1111])
         assert _first_defect(masks, 0b1111) == ("A3", (0b0001, 0b0010))
-        assert kernel_frontiers == [2, 6]
+        assert bitset_passes == [2]
+        assert kernel_frontiers == [6]
+
+    def test_bitset_atoms_are_the_minimal_members(self):
+        for masks, full in _route_cases():
+            size = full.bit_length()
+            atoms = _bitset_atoms(_bitset(masks, size), _lacking(size))
+            assert atoms == minimal_members(masks)
+
+
+class TestBitsets:
+    def test_a_bitset_holds_its_masks(self):
+        for masks, full, _frontier in _kernel_cases(61, 300):
+            bits = _bitset(masks, full.bit_length())
+            assert bits == sum(1 << m for m in masks)
+            assert list(_set_bits(bits)) == sorted(masks)
+        assert list(_set_bits(0)) == []
+
+    def test_reversal_complements_every_member(self):
+        for masks, full, _frontier in _kernel_cases(62, 300):
+            size = full.bit_length()
+            complements = _complements(_bitset(masks, size), size)
+            assert complements == _bitset({m ^ full for m in masks}, size)
+
+    def test_state_rows_mark_the_masks_lacking_the_state(self):
+        for size in range(9):
+            rows = _lacking(size)
+            assert len(rows) == size
+            for k, row in enumerate(rows):
+                assert row == _bitset([m for m in range(1 << size) if not m >> k & 1], size)
 
 
 def _balanced(chain):
@@ -430,8 +553,14 @@ class TestChainAtBenchmarkScale:
         pairs = [(1 << a) | (1 << b) for a, b in zip(self.CHAIN, self.CHAIN[1:])]
         logic = gfe_closure([mask_event(m, sp) for m in pairs], sp)
         assert len(logic) == 3432
-        kernel_frontiers.clear()
         ConcreteLogic(space=sp, masks=logic.masks)
+        assert kernel_frontiers == []
+        # two copies of each state: 28 states, where the kernel pairs members
+        copies = [2] * self.STATES
+        wide = space(2 * self.STATES)
+        doubled = frozenset(blow_up(m, copies) for m in logic.masks)
+        assert len(doubled) == 3432
+        ConcreteLogic(space=wide, masks=doubled)
         # the atoms pair one even with one odd chain position: 7 * 7
         assert kernel_frontiers == [49]
 
