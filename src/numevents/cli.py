@@ -3,7 +3,8 @@
 Exit codes: 0 for a positive verdict (embeddable, Boolean, no violated
 inequality), 2 for the corresponding negative verdict, 3 for an
 undecided classification and 1 for any input or configuration error.
-argparse also exits 2 on a command line it cannot parse.
+argparse also exits 2 on a command line it cannot parse. A reader that
+closes stdout early gets 141 (128 + SIGPIPE, as a shell has it), quietly.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import gc
 import os
 import sys
-from itertools import chain
+from itertools import chain, islice
 from typing import Collection, Iterable, Sequence
 
 from .correlations import check_bell_like, violated_01_valuations
@@ -33,8 +34,9 @@ from .logic import (
 )
 from .tolerance import DEFAULT_EPS, _checked, eps_scope, get_eps
 from .valuations import (
+    _FLOAT_OF,
     ENUMERATION_CAP,
-    MAX_N,
+    _check_enumerable,
     count_01_valuations,
     enumerate_01_valuations,
     format_subset,
@@ -45,11 +47,16 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NEGATIVE = 2
 EXIT_UNDECIDED = 3
+EXIT_CLOSED_PIPE = 141
 
 ENV_EPS = "NUMEVENT_EPS"
 
-# characters per write on stdout
+# characters per write of a JSON report on stdout
 _WRITE_SIZE = 1 << 16
+# lines per write of a text report: about 70 KB of `enumerate 4` rows
+_WRITE_LINES = 1 << 11
+# int() of each coefficient a listed valuation holds, as text; -0.0 reads "0"
+_COEFFICIENT_TEXT = {v: str(k) for k, v in _FLOAT_OF.items()}
 
 
 def _fmt_number(v: float) -> str:
@@ -77,17 +84,18 @@ def _add_witnesses(
 def _emit(output: dict | Iterable[str]) -> None:
     """Print a JSON report (a dict) or text lines (an iterable of str).
 
-    The text goes to stdout in groups of about _WRITE_SIZE characters:
-    unbuffered (``python -u``), every write on stdout is a system call;
-    joined whole, a long report is held once more as one string.
+    Unbuffered (``python -u``), every write on stdout is a system call;
+    joined whole, a long report is held once more as one string. So text
+    goes out _WRITE_LINES lines a write, JSON about _WRITE_SIZE characters.
     """
-    if isinstance(output, dict):
-        pieces: Iterable[str] = chain(_json_chunks(output), ["\n"])
-    else:
-        pieces = (line + "\n" for line in output)
+    if not isinstance(output, dict):
+        lines = iter(output)
+        while group := list(islice(lines, _WRITE_LINES)):
+            sys.stdout.write("\n".join(group) + "\n")
+        return
     group: list[str] = []
     size = 0
-    for piece in pieces:
+    for piece in chain(_json_chunks(output), ["\n"]):
         group.append(piece)
         size += len(piece)
         if size >= _WRITE_SIZE:
@@ -223,32 +231,17 @@ def _cmd_bell(args: argparse.Namespace) -> _Output:
 
 def _cmd_enumerate(args: argparse.Namespace) -> _Output:
     n = args.n
-    if n < 1:
-        raise NumericalEventError(f"n must be positive, got {n}")
-    if n > ENUMERATION_CAP and not args.override_enumeration_cap:
-        raise NumericalEventError(
-            f"enumeration for n={n} needs --override-enumeration-cap"
-        )
-    if n > MAX_N:
-        raise NumericalEventError(f"n must be at most {MAX_N}, got {n}")
-    # 2**k - 1 has floor(k * log10(2)) + 1 digits, as 2**k; 0.30103 is exact enough up to MAX_N
-    limit, digits = sys.get_int_max_str_digits(), ((1 << n) - 1) * 30103 // 100000 + 1
-    if 0 < limit < digits:
-        raise NumericalEventError(
-            f"count 2**{(1 << n) - 1} - 1 for n={n} has {digits} digits, above the "
-            f"{limit}-digit limit of int-to-text conversion (PYTHONINTMAXSTRDIGITS)"
-        )
+    _check_enumerable(n)
     count = count_01_valuations(n)
-    valuations = enumerate_01_valuations(n, allow_large=True)
+    valuations = enumerate_01_valuations(n)
     report = {
         "command": "enumerate",
         "n": n,
         "count": count,
         "valuations": (list(map(int, f.values)) for f in valuations),
     }
-    # "%d" renders an integral float as int() does, -0.0 as 0
-    line = " ".join(["%d"] * ((1 << n) - 1))
-    lines = chain([str(count)], (line % f.values for f in valuations))
+    text = _COEFFICIENT_TEXT.__getitem__
+    lines = chain([str(count)], (" ".join(map(text, f.values)) for f in valuations))
     return EXIT_OK, report, lines
 
 
@@ -307,11 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser(
         "enumerate", help="list all non-zero 0/1-partial-sum valuations"
     )
-    p_enum.add_argument("n", type=int, help="number of base measurements")
     p_enum.add_argument(
-        "--override-enumeration-cap",
-        action="store_true",
-        help=f"allow n beyond {ENUMERATION_CAP}",
+        "n", type=int, help=f"number of base measurements, 1 <= n <= {ENUMERATION_CAP}"
     )
     p_enum.set_defaults(handler=_cmd_enumerate)
     return parser
@@ -335,7 +325,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         with eps_scope(get_eps() if eps is None else eps):
             code, report, lines = args.handler(args)
             _emit(report if args.format == "json" else lines)
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
             return code
+    except BrokenPipeError:
+        # no input error: the exit flush goes to the null device (signal docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
     except (NumericalEventError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -37,7 +37,7 @@ __all__ = [
     "pair_inequality",
 ]
 
-# enumeration is open-ended in n only behind an explicit override
+# the largest n whose 0/1 valuations are listed: n = 5 would be 2**31 - 1 rows
 ENUMERATION_CAP = 4
 # the largest n of a SetFunction or a CorrelationTable
 MAX_N = 16
@@ -106,8 +106,8 @@ class SetFunction(_Record):
 
     @classmethod
     def _decoded(cls, n: int, values: tuple[float, ...]) -> "SetFunction":
-        # a tuple of 2**n - 1 floats for 1 <= n <= MAX_N, as valuation_01's
-        # tables make it; skips the checks and conversion in __init__
+        # a tuple of 2**n - 1 floats for 1 <= n <= MAX_N, as the rows decoded
+        # from _half_tables are; skips the checks and conversion in __init__
         f = object.__new__(cls)
         object.__setattr__(f, "n", n)
         object.__setattr__(f, "values", values)
@@ -179,11 +179,6 @@ def is_bell_valuation(f: SetFunction) -> bool:
     return all(-eps <= v <= 1.0 + eps for v in g.values)
 
 
-def _moebius_01(packed: int, n: int) -> list[int]:
-    """Integer Moebius pass over the 0/1 partial sums packed in the bits."""
-    return _zeta([0] + [(packed >> t) & 1 for t in range((1 << n) - 1)], n, -1)
-
-
 # One float object per value a decoded coefficient can take: a 0/1
 # partial-sum pattern gives |f(I)| <= 2**(|I| - 1), at most 8 for n <= 4.
 _FLOAT_OF = {
@@ -192,14 +187,27 @@ _FLOAT_OF = {
 }
 
 
+def _check_enumerable(n: int) -> None:
+    """Reject an n outside 1..ENUMERATION_CAP: its 0/1 valuations are not listed."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if n > ENUMERATION_CAP:
+        raise BudgetExceededError(f"n must be at most {ENUMERATION_CAP}, got {n}")
+
+
 @cache
 def _half_tables(n: int) -> tuple[int, tuple, tuple]:
-    """The low bit count k and the passes of every pattern of the low k
-    bits and of every pattern of the high bits (shifted up by k)."""
+    """The low bit count k and the integer Moebius passes of every 0/1
+    pattern of the low k bits and of the high bits (shifted up by k)."""
+    _check_enumerable(n)
     width = (1 << n) - 1
     k = width // 2
-    low = tuple(tuple(_moebius_01(x, n)) for x in range(1 << k))
-    high = tuple(tuple(_moebius_01(y << k, n)) for y in range(1 << (width - k)))
+
+    def moebius(packed: int) -> tuple[int, ...]:
+        return tuple(_zeta([0] + [(packed >> t) & 1 for t in range(width)], n, -1))
+
+    low = tuple(moebius(x) for x in range(1 << k))
+    high = tuple(moebius(y << k) for y in range(1 << (width - k)))
     return k, low, high
 
 
@@ -207,19 +215,15 @@ def valuation_01(packed: int, n: int) -> SetFunction:
     """f_transform(g) for the 0/1 partial sums g(m) = bit m - 1 of packed.
 
     The integer Moebius pass is linear in the bits of packed: the pass of
-    packed is the pass of its low k bits plus the pass of its high bits.
-    For n <= ENUMERATION_CAP both are rows of two tables built once per n
-    (2**7 and 2**8 rows at n=4), and every sum maps to the one shared float
-    of its value; above the cap the pass runs directly. Integer sums are
-    exact and every value is a small integer, so its float equals the one
-    the float transform gives, sign of zero included.
+    packed is the pass of its low k bits plus the pass of its high bits,
+    both rows of two tables built once per n <= ENUMERATION_CAP (2**7 and
+    2**8 rows at n=4), and every sum maps to the one shared float of its
+    value. Integer sums are exact and every value is a small integer, so
+    its float equals the one the float transform gives, sign of zero included.
     """
-    size = 1 << n
-    if not 0 <= packed < 1 << (size - 1):
-        raise ValueError(f"packed pattern {packed} outside 0..{(1 << (size - 1)) - 1}")
-    if not 1 <= n <= ENUMERATION_CAP:
-        return SetFunction(n, _moebius_01(packed, n))
     k, low, high = _half_tables(n)
+    if not 0 <= packed < 1 << ((1 << n) - 1):
+        raise ValueError(f"packed pattern {packed} outside 0..{count_01_valuations(n)}")
     sums = map(add, low[packed & ((1 << k) - 1)], high[packed >> k])
     return SetFunction._decoded(n, tuple(map(_FLOAT_OF.__getitem__, sums)))
 
@@ -229,22 +233,21 @@ def count_01_valuations(n: int) -> int:
     return (1 << ((1 << n) - 1)) - 1
 
 
-def enumerate_01_valuations(n: int, allow_large: bool = False) -> Iterator[SetFunction]:
+def enumerate_01_valuations(n: int) -> Iterator[SetFunction]:
     """Yield every non-zero integer valuation whose partial sums are 0/1.
 
     Runs over all non-zero 0/1 vectors g on the non-empty subsets, in
     increasing order of the packed bit pattern, and yields f_transform(g)
-    as ``valuation_01`` decodes it.
-    Capped at n = 4 (32767 valuations) unless allow_large is set.
+    as ``valuation_01(packed, n)`` would, block by block over the half
+    tables. An n outside 1..ENUMERATION_CAP raises at the first step.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n > ENUMERATION_CAP and not allow_large:
-        raise BudgetExceededError(
-            f"budget exceeded: enumeration for n={n} needs an explicit override"
-        )
-    for packed in range(1, 1 << ((1 << n) - 1)):
-        yield valuation_01(packed, n)
+    _k, low, high = _half_tables(n)
+    decoded, float_of = SetFunction._decoded, _FLOAT_OF.__getitem__
+    rows = low[1:]  # packed 0 is the zero function
+    for y in high:
+        for x in rows:
+            yield decoded(n, tuple(map(float_of, map(add, x, y))))
+        rows = low
 
 
 def sum_all_elementary(n: int) -> SetFunction:

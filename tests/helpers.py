@@ -170,6 +170,23 @@ def direct_f(g_values, n):
     return out
 
 
+def valuation_rows_01(n):
+    """The integer Moebius inversion f of every non-zero 0/1 vector g on the
+    non-empty subsets of {1..n}, in packed order (bit t of packed is g of
+    mask t + 1), by row[p] = row[p ^ low] + column[low] with low the lowest
+    bit of p: the column of mask j is (-1)**|I \\ J| on supersets I of J."""
+    masks = range(1, 1 << n)
+    columns = [
+        [(-1) ** (i.bit_count() - j.bit_count()) if i & j == j else 0 for i in masks]
+        for j in masks
+    ]
+    rows = [[0] * len(masks)]
+    for p in range(1, 1 << len(masks)):
+        low = p & -p
+        rows.append([a + b for a, b in zip(rows[p ^ low], columns[low.bit_length() - 1])])
+    return rows[1:]
+
+
 def event_grid(num_states: int, step: int = 8):
     """All events over num_states whose values lie on a coarse grid."""
     levels = [i / step for i in range(step + 1)]

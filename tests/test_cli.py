@@ -12,7 +12,6 @@ import pytest
 import numevents
 import numevents.cli as cli
 from numevents import (
-    NumericalEventError,
     StateSpace,
     count_01_valuations,
     enumerate_01_valuations,
@@ -25,6 +24,7 @@ from numevents import (
 )
 from numevents.cli import main
 from conftest import DATA_DIR, GOLDEN_DIR
+from helpers import valuation_rows_01
 
 
 def data(name):
@@ -154,8 +154,14 @@ class TestExitCodes:
 
     def test_enumerate_above_cap(self, capsys):
         assert main(["enumerate", "5"]) == 1
-        err = capsys.readouterr().err
-        assert "--override-enumeration-cap" in err
+        assert capsys.readouterr() == ("", "error: n must be at most 4, got 5\n")
+        # the override flag is gone: a usage error
+        with pytest.raises(SystemExit) as info:
+            main(["enumerate", "5", "--override-enumeration-cap"])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --override-enumeration-cap" in err
 
     def test_missing_file(self, capsys):
         assert main(["classify", data("no_such_file.csv")]) == 1
@@ -396,6 +402,9 @@ class RecordingStdout:
         self.writes.append(text)
         return len(text)
 
+    def flush(self):
+        pass
+
 
 @pytest.fixture
 def flat_table(tmp_path):
@@ -457,30 +466,34 @@ def int_string_limit():
 
 
 def _enumerate_args(n):
-    return argparse.Namespace(n=n, override_enumeration_cap=True)
+    return argparse.Namespace(n=n)
 
 
-def test_enumerate_13_starts_with_the_count(int_string_limit):
-    int_string_limit(4300)
-    code, report, lines = cli._cmd_enumerate(_enumerate_args(13))
-    assert code == 0
-    assert report["count"] == count_01_valuations(13) == 2**8191 - 1
-    assert next(iter(lines)) == str(2**8191 - 1)
+def test_listing_makes_no_decoder_call_and_the_lister_still_does(monkeypatch):
+    import numevents.correlations as correlations
+    import numevents.valuations as valuations
+
+    calls, decode = [], valuations.valuation_01
+
+    def spy(packed, n):
+        calls.append(packed)
+        return decode(packed, n)
+
+    monkeypatch.setattr(valuations, "valuation_01", spy)
+    monkeypatch.setattr(correlations, "valuation_01", spy)
+    _code, _report, lines = cli._cmd_enumerate(_enumerate_args(4))
+    assert sum(1 for _ in lines) == 1 + 32767
+    assert calls == []
+    rows = violated_01_valuations(read_correlations_csv(data("chsh3.csv")))
+    assert calls == [int(row.label.removeprefix("g#")) for row in rows] != []
 
 
-def test_enumerate_counts_the_digits_of_every_count(int_string_limit):
-    int_string_limit(0)
-    digits = [len(str(count_01_valuations(n))) for n in range(1, 17)]
-    # the smallest limit Python takes: n = 11 fits, n = 12 does not
-    int_string_limit(640)
-    for n, count_digits in enumerate(digits, start=1):
-        if count_digits <= 640:
-            _code, _report, lines = cli._cmd_enumerate(_enumerate_args(n))
-            assert next(iter(lines)) == str(count_01_valuations(n))
-        else:
-            with pytest.raises(NumericalEventError, match=f" has {count_digits} digits, "):
-                cli._cmd_enumerate(_enumerate_args(n))
-    assert digits[10] <= 640 < digits[11]
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumerate_text_is_the_recurrence_oracles(n, capsys):
+    rows = valuation_rows_01(n)
+    expected = f"{len(rows)}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    assert main(["enumerate", str(n)]) == 0
+    assert capsys.readouterr() == (expected, "")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -541,23 +554,22 @@ class TestErrorMessages:
         assert err == "error: logic row 1: value at state s1 outside the float range\n"
 
     @pytest.mark.parametrize("n", [17, 10**6])
-    def test_enumerate_above_max_n_with_the_override(self, n, capsys):
-        # rejected before any table of 2**n items is built
-        err = self.run_error(["enumerate", str(n), "--override-enumeration-cap"], capsys)
-        assert err == f"error: n must be at most 16, got {n}\n"
+    def test_enumerate_above_the_cap(self, n, capsys):
+        # rejected before the count 2**(2**n - 1) - 1 or any table is built
+        err = self.run_error(["enumerate", str(n)], capsys)
+        assert err == f"error: n must be at most 4, got {n}\n"
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("n, digits", [(14, 4932), (16, 19729)])
     def test_enumerate_count_above_the_int_string_limit(
         self, n, digits, fmt, int_string_limit, capsys
     ):
+        int_string_limit(0)
+        assert len(str(count_01_valuations(n))) == digits
+        # the cap rejects n before its count meets the digit limit
         int_string_limit(4300)
-        argv = ["--format", fmt, "enumerate", str(n), "--override-enumeration-cap"]
-        err = self.run_error(argv, capsys)
-        assert err == (
-            f"error: count 2**{(1 << n) - 1} - 1 for n={n} has {digits} digits, above "
-            "the 4300-digit limit of int-to-text conversion (PYTHONINTMAXSTRDIGITS)\n"
-        )
+        err = self.run_error(["--format", fmt, "enumerate", str(n)], capsys)
+        assert err == f"error: n must be at most 4, got {n}\n"
 
     @pytest.mark.parametrize(
         "text, reason",
@@ -620,6 +632,25 @@ def test_module_entry_point_exits_with_the_error_code():
         "",
         "error: n must be positive, got 0\n",
     )
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "fmt, first", [("text", b"32767\n"), ("json", b"{\n")], ids=["text", "json"]
+)
+def test_a_reader_that_closes_the_pipe_ends_the_program_quietly(unbuffered, fmt, first):
+    # the report is about 1.1 MB, far more than a pipe holds
+    src = os.path.dirname(os.path.dirname(numevents.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    argv = [sys.executable, "-m", "numevents.cli", "--format", fmt, "enumerate", "4"]
+    with subprocess.Popen(
+        argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (line, code, err) == (first, 141, b"")
 
 
 class TestProgramEntry:

@@ -24,7 +24,7 @@ from numevents import (
 )
 from numevents import valuations
 from numevents.valuations import valuation_01
-from helpers import direct_f, direct_g
+from helpers import direct_f, direct_g, valuation_rows_01
 
 
 def popcount(mask):
@@ -211,14 +211,21 @@ class TestEnumeration:
             if n <= 3:
                 assert list(decoded.values) == direct_f(g.values, n), packed
 
-    def test_decoder_above_the_cap_runs_the_pass_without_tables(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(valuations, "_half_tables", built.append)
-        entries = (1 << 5) - 1
-        for packed in (1, 0x55555555 & ((1 << entries) - 1), (1 << entries) - 1):
-            g = SetFunction(5, tuple(float((packed >> t) & 1) for t in range(entries)))
-            assert repr(valuation_01(packed, 5)) == repr(f_transform(g)), packed
-        assert built == []
+    def test_decoder_above_the_cap_builds_no_tables(self):
+        before = valuations._half_tables.cache_info().currsize
+        for n in (5, 17, 10**6):
+            with pytest.raises(BudgetExceededError, match=f"^n must be at most 4, got {n}$"):
+                valuation_01(1, n)
+        assert valuations._half_tables.cache_info().currsize == before
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_listing_is_the_recurrence_oracles(self, n):
+        listing = list(enumerate_01_valuations(n))
+        expected = [repr(SetFunction(n, tuple(row))) for row in valuation_rows_01(n)]
+        assert list(map(repr, listing)) == expected
+        # one float object per value
+        values = [v for f in listing for v in f.values]
+        assert len(set(map(id, values))) == len(set(values))
 
     def test_decoder_rejects_patterns_outside_the_lattice(self):
         for packed in (-1, 1 << 7):
@@ -232,14 +239,8 @@ class TestEnumeration:
             next(listing)
 
     def test_cap_blocks_large_n(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match="^n must be at most 4, got 5$"):
             next(enumerate_01_valuations(5))
-
-    def test_override_admits_large_n(self):
-        gen = enumerate_01_valuations(5, allow_large=True)
-        first = next(gen)
-        assert first.n == 5
-        assert is_bell_valuation(first)
 
 
 class TestClosedForms:
