@@ -49,9 +49,9 @@ from .events import (
 )
 from .tolerance import get_eps
 from .valuations import (
-    ENUMERATION_CAP,
     MAX_N,
     SetFunction,
+    _check_enumerable,
     format_subset,
     mask_from_indices,
     pair_inequality,
@@ -353,10 +353,7 @@ def violated_01_valuations(table: CorrelationTable) -> tuple[InequalityResult, .
     does not report. Needs every correlation and n <= 4.
     """
     n = table.n
-    if n > ENUMERATION_CAP:
-        raise ValueError(
-            f"0/1 valuations are listed for n <= {ENUMERATION_CAP}, got n={n}"
-        )
+    _check_enumerable(n)
     eps = get_eps()
     lo, hi = -eps + _MARGIN, 1.0 + eps - _MARGIN
     candidates: set[int] = set()

@@ -190,11 +190,6 @@ def classify_embedding(
                 "complement coincidences inside the family reduce the "
                 f"antichain to {pairs} complementary pairs"
             )
-        if family.n == 2 and pairs == 2:
-            reasons.append(
-                "the smallest Boolean container for an incomparable pair "
-                "has 16 elements [rule pair-boolean-16]"
-            )
     else:
         assert offending is not None
         (name_a, a), (name_b, b) = offending

@@ -6,37 +6,36 @@ two-valued event is the indicator of a state subset, the whole module
 works on bitmasks: complement is XOR with the full mask, orthogonality
 is disjointness, and orthogonal sum is union.
 
-Up to 16 states the axioms are decided on one int, ``bits``, with bit m
-set for member m: 2**S bits, 8 KiB at 16 and doubling with each state.
+One algorithm decides the axioms and builds ``gfe_closure``: take the
+complements, then the union of each atom (minimal non-zero member) with
+every member disjoint from it. It runs on two representations of a set
+of masks. Up to 16 states the set is one int, ``bits``, with bit m set
+for member m: 2**S bits, 8 KiB at 16 and doubling with each state.
 Complement (m -> full ^ m) reverses the bit order, and as a | b = a + b
 for disjoint a and b, ``(bits & disjoint) << a`` adds a to every member
 disjoint from it in one shift; ``disjoint`` ANDs one bitset per state of
-a, of the masks lacking that state. Above 16 states the semi-naive
-kernel ``_gaps`` pairs each frontier member with its disjoint partners,
-found the same way among the sorted members and visited lowest first,
-so the gaps keep the order of a loop over all pairs. Either route serves
-``gfe_closure``, ``ConcreteLogic`` and ``check_concrete_logic``.
+a, of the masks lacking that state. Above 16 states the set is a Python
+set, and each atom meets the members in a plain loop.
 
-Both routes decide A3 from the atoms (minimal non-zero members) alone,
-by this lemma. Let L be a finite set of masks that holds 0 and is
-closed under complement, and suppose a | x is in L for every a in L and
-every atom x disjoint from a. Take a non-zero b in L and an atom x
-inside b. The complement b' is disjoint from x, so b' | x is in L, and
-so is its complement b - x. As b - x has fewer states than b, induction
-makes b a disjoint union of atoms. Adding those atoms to a disjoint a
-one at a time keeps every step in L, so a | b is in L: L is closed
-under disjoint unions. (In orthomodular terms, every element of a
-finite orthomodular poset is an orthogonal sum of atoms; Ptak and
-Pulmannova, *Orthomodular Structures as Quantum Logics*, 1991.)
+A3 is decided from the atoms alone, by this lemma. Let L be a finite
+set of masks that holds 0 and is closed under complement, and suppose
+a | x is in L for every a in L and every atom x disjoint from a. Take a
+non-zero b in L and an atom x inside b. The complement b' is disjoint
+from x, so b' | x is in L, and so is its complement b - x. As b - x has
+fewer states than b, induction makes b a disjoint union of atoms.
+Adding those atoms to a disjoint a one at a time keeps every step in
+L, so a | b is in L: L is closed under disjoint unions. (In
+orthomodular terms, every element of a finite orthomodular poset is an
+orthogonal sum of atoms; Ptak and Pulmannova, *Orthomodular Structures
+as Quantum Logics*, 1991.)
 
-So a bitset takes one shift per atom, and the partner route one pass
-over the pairs of an atom and a member disjoint from it (45 276 on the
-14-state chain logic doubled, against 136 417 disjoint pairs). Only
-``check_concrete_logic`` runs the full ``_gaps`` pass, to name the first
-missing union of a failing set. The bitset closure adds complements,
-then each atom's unions, until nothing changes: every mask it adds lies
-in every logic that holds the seeds, and the lemma makes the fixpoint a
-logic, so it is the smallest one.
+So a decision takes one shift per atom on a bitset, or one pass over
+the pairs of an atom and a member on a set. The closure adds
+complements, then each atom's unions, until nothing changes: every mask
+it adds lies in every logic that holds the seeds, and the lemma makes
+the fixpoint a logic, so it is the smallest one. Only
+``check_concrete_logic`` names the pair behind a missing union, by one
+loop over the pairs of sorted members, on either representation.
 
 Two independent routes decide whether a family sits inside a Boolean
 subalgebra of a logic P:
@@ -52,9 +51,8 @@ subalgebra of a logic P:
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import compress, groupby
-from typing import Collection, Container, Iterable, Iterator
+from itertools import combinations, compress, groupby
+from typing import Collection, Iterable, Iterator
 
 from .correlations import witness_relations
 from .events import (
@@ -159,7 +157,7 @@ class ConcreteLogic(_Record):
 
     @classmethod
     def _closed(cls, space: StateSpace, masks: Iterable[int]) -> "ConcreteLogic":
-        # masks the kernel has just closed; skips the second check in __init__
+        # masks gfe_closure has just closed; skips the second check in __init__
         logic = object.__new__(cls)
         object.__setattr__(logic, "space", space)
         object.__setattr__(logic, "masks", frozenset(masks))
@@ -197,67 +195,6 @@ _AXIOM_DETAIL = {
     "A2": "complement missing",
     "A3": "orthogonal sum missing",
 }
-
-
-def _gaps(
-    masks: Container[int], full: int, frontier: list[int]
-) -> Iterator[tuple[str, int, tuple[int, ...]]]:
-    """Yield (axiom, missing mask, offenders) for every A2 or A3 gap.
-
-    Semi-naive: only frontier members are paired with all members, and a
-    pair of two frontier members is taken once, as a < b. With a sorted
-    frontier the complements come first, then the pairs in lexicographic
-    order, so with frontier = all members the first gap is the smallest.
-
-    Each frontier member a meets only its disjoint partners. Bit i of
-    ``outside[s]`` is set when the i-th sorted member lacks state s, so
-    ANDing ``outside[s]`` over the states of a leaves the members
-    disjoint from a; masking that with the members above a or outside
-    the frontier takes each pair once. The set bits are visited in
-    ascending order, which is the order of the sorted members, so the
-    gaps come out in the same sequence as from a loop over all pairs.
-    """
-    for m in frontier:
-        if (m ^ full) not in masks:
-            yield "A2", m ^ full, (m,)
-    members = sorted(masks)
-    span = 0
-    for m in members:
-        span |= m
-    outside = _outside(members, span.bit_length())
-    fresh = set(frontier)
-    stale = int(
-        "".join(["0" if m in fresh else "1" for m in reversed(members)]) or "0", 2
-    )
-    every = (1 << len(members)) - 1
-    for a in frontier:
-        low = bisect_right(members, a)
-        partners = stale | (every >> low << low)
-        states = a & span
-        while states:
-            bit = states & -states
-            partners &= outside[bit.bit_length() - 1]
-            states ^= bit
-        # a linear scan of the binary digits, lowest member first
-        digits = bin(partners)[:1:-1]
-        i = digits.find("1")
-        while i >= 0:
-            b = members[i]
-            if (a | b) not in masks:
-                yield "A3", a | b, (a, b) if a < b else (b, a)
-            i = digits.find("1", i + 1)
-
-
-def _outside(members: list[int], width: int) -> list[int]:
-    """Per state s below width, the bitset of the sorted members (all
-    below 2**width) that lack s: bit i stands for members[i]. No members
-    give no rows."""
-    # one row of binary digits per member, highest member first; the
-    # column for state s is a row of the transpose, counted from the right
-    top = 1 << width
-    columns = zip(*[bin(m | top)[3:] for m in reversed(members)])
-    every = (1 << len(members)) - 1
-    return [int("".join(column), 2) ^ every for column in columns][::-1]
 
 
 def _atoms(members: Iterable[int]) -> list[int]:
@@ -330,8 +267,8 @@ def _first_defect(
 
     With A1 and A2 holding, the unions with atoms decide A3 (see the
     module docstring); only when one is missing, and name_pair is set,
-    does the pass over all members run, to name the smallest pair.
-    Without name_pair an A3 defect has no offenders.
+    does ``_first_gap`` name the smallest pair. Without name_pair an A3
+    defect has no offenders.
     """
     if 0 not in masks:
         return "A1", ()
@@ -347,13 +284,22 @@ def _first_defect(
         for m in members:
             if (m ^ full) not in masks:
                 return "A2", (m,)
-        closed = next(_gaps(masks, full, _atoms(members)), None) is None
+        closed = all(
+            a | b in masks for a in _atoms(members) for b in members if not a & b
+        )
     if closed:
         return None
-    if not name_pair:
-        return "A3", ()
-    axiom, _missing, offenders = next(_gaps(masks, full, sorted(masks)))
-    return axiom, offenders
+    return "A3", _first_gap(masks) if name_pair else ()
+
+
+def _first_gap(masks: Collection[int]) -> tuple[int, int]:
+    """The first disjoint pair a < b of sorted members whose union is not
+    a member; masks must miss one."""
+    return next(
+        (a, b)
+        for a, b in combinations(sorted(masks), 2)
+        if not a & b and a | b not in masks
+    )
 
 
 def gfe_closure(
@@ -364,10 +310,11 @@ def gfe_closure(
 ) -> ConcreteLogic:
     """Smallest concrete logic containing the given two-valued events.
 
-    Fixpoint under complement and disjoint union, seeded with 0 and 1;
-    above 16 states each round pairs only the last round's additions. More
-    than max_size members, seeds included, raises BudgetExceededError.
-    An empty collection needs an explicit state space and yields {0, 1}.
+    Fixpoint under complement and disjoint union, seeded with 0 and 1:
+    each round adds the complements, then each atom's unions with the
+    members disjoint from it. More than max_size members after a round,
+    seeds included, raises BudgetExceededError. An empty collection
+    needs an explicit state space and yields {0, 1}.
     """
     items = list(events)
     if space is None and not items:
@@ -382,12 +329,14 @@ def gfe_closure(
             if bits.bit_count() > max_size:
                 raise BudgetExceededError("budget exceeded: closure size")
         return ConcreteLogic._closed(space, _set_bits(bits))
-    frontier = sorted(masks)
-    while frontier:
+    before = 0
+    while len(masks) != before:
+        before = len(masks)
+        masks |= {m ^ full for m in masks}
+        for a in _atoms(masks):
+            masks |= {a | b for b in masks if not a & b}
         if len(masks) > max_size:
             raise BudgetExceededError("budget exceeded: closure size")
-        frontier = sorted({gap for _axiom, gap, _offenders in _gaps(masks, full, frontier)})
-        masks.update(frontier)
     return ConcreteLogic._closed(space, masks)
 
 

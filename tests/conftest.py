@@ -18,19 +18,39 @@ def _restore_tolerance():
 
 
 @pytest.fixture
-def kernel_frontiers(monkeypatch):
-    """Frontier size of every call of the concrete-logic closure kernel."""
+def set_passes(monkeypatch):
+    """Atom count of every pass of the concrete-logic axioms above 16
+    states: one per decision, and one per closure round."""
     import numevents.logic as logic_module
 
-    frontiers = []
-    real = logic_module._gaps
+    counts = []
+    real = logic_module._atoms
 
-    def counting(masks, full, frontier):
-        frontiers.append(len(frontier))
-        return real(masks, full, frontier)
+    def counting(members):
+        atoms = real(members)
+        counts.append(len(atoms))
+        return atoms
 
-    monkeypatch.setattr(logic_module, "_gaps", counting)
-    return frontiers
+    monkeypatch.setattr(logic_module, "_atoms", counting)
+    return counts
+
+
+@pytest.fixture
+def named_gaps(monkeypatch):
+    """The pair named by every call of the loop that names a failing
+    set's first missing union."""
+    import numevents.logic as logic_module
+
+    pairs = []
+    real = logic_module._first_gap
+
+    def recording(masks):
+        pair = real(masks)
+        pairs.append(pair)
+        return pair
+
+    monkeypatch.setattr(logic_module, "_first_gap", recording)
+    return pairs
 
 
 @pytest.fixture

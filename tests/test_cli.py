@@ -297,16 +297,16 @@ def test_pairs_only_flag_is_gone(capsys):
     capsys.readouterr()
 
 
-def test_boolean_checks_the_logic_once(kernel_frontiers, bitset_passes, capsys):
+def test_boolean_checks_the_logic_once(named_gaps, bitset_passes, capsys):
     assert main(["--format", "json", "boolean", data("power_logic.json")]) == 0
     # one bitset pass, over the three singletons of the 8-member power set
     assert bitset_passes == [3]
-    assert kernel_frontiers == []
+    assert named_gaps == []
     assert json.loads(capsys.readouterr().out)["logic_size"] == 8
 
 
 def test_boolean_runs_the_full_pass_once_on_a_logic_failing_a3(
-    kernel_frontiers, bitset_passes, tmp_path, capsys
+    named_gaps, bitset_passes, tmp_path, capsys
 ):
     # the power set of four states without {s1,s2} and its complement
     sp = StateSpace(("s1", "s2", "s3", "s4"))
@@ -314,9 +314,9 @@ def test_boolean_runs_the_full_pass_once_on_a_logic_failing_a3(
     write_logic_json(sp, [mask_event(m, sp) for m in range(16) if m not in (3, 12)], [1], path)
     assert main(["boolean", path]) == 1
     # the constructor's bitset pass, then check_concrete_logic's bitset
-    # pass and the full kernel pass that names the first pair
+    # pass and the one loop that names the first pair
     assert bitset_passes == [4, 4]
-    assert kernel_frontiers == [14]
+    assert named_gaps == [(0b0001, 0b0010)]
     assert capsys.readouterr() == (
         "",
         "error: axiom A3 violated: orthogonal sum missing "

@@ -48,9 +48,7 @@ from numevents.logic import (
     _bitset_atoms,
     _complements,
     _first_defect,
-    _gaps,
     _lacking,
-    _outside,
     _set_bits,
 )
 
@@ -160,14 +158,14 @@ class TestClosure:
             gfe_closure(POWER3.events, SP3, max_size=4)
 
     # the two cases above and the even logic, each as it is and blown up
-    # above 16 states, where the closure pairs members
+    # above 16 states, where the closure runs on a set
     @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize(
         "num_states, seeds, size",
         [(5, (1, 2, 4, 8, 16), 32), (3, tuple(range(8)), 8), (4, EVEN_SEEDS, 6)],
     )
     def test_both_routes_stop_at_the_same_size(
-        self, wide, num_states, seeds, size, kernel_frontiers
+        self, wide, num_states, seeds, size, set_passes
     ):
         copies = [16 // num_states + 1 if wide else 1] * num_states
         sp = space(sum(copies))
@@ -175,7 +173,7 @@ class TestClosure:
         assert len(gfe_closure(events, sp, max_size=size)) == size
         with pytest.raises(BudgetExceededError, match="^budget exceeded: closure size$"):
             gfe_closure(events, sp, max_size=size - 1)
-        assert bool(kernel_frontiers) == wide == (sp.size > 16)
+        assert bool(set_passes) == wide == (sp.size > 16)
 
     def test_non_two_valued_seed_rejected(self):
         with pytest.raises(NotTwoValuedError):
@@ -292,22 +290,25 @@ class TestKernelAgainstOracle:
             logic = gfe_closure([mask_event(m, sp) for m in seeds], sp)
             assert logic.masks == closure_oracle(seeds, num_states)
 
-    def test_closure_checks_each_member_once(self, kernel_frontiers):
+    def test_closure_checks_each_member_once(self, set_passes, bitset_passes):
         small = gfe_closure([mask_event(m, space(6)) for m in (3, 6, 12, 24)], space(6))
-        assert kernel_frontiers == []
-        # three copies of each state: 18 states, where the kernel pairs members
+        assert set_passes == []
+        # three copies of each state: 18 states, where the closure runs on a set
         seeds = [mask_event(blow_up(m, [3] * 6), space(18)) for m in (3, 6, 12, 24)]
         logic = gfe_closure(seeds, space(18))
         assert len(logic) == len(small)
-        assert len(kernel_frontiers) > 1
-        # each member is paired as part of one frontier, and never again
-        assert sum(kernel_frontiers) == len(logic)
+        # the blow-up keeps the order of the masks, so the set route runs
+        # the bitset route's rounds, with one atom pass each, and the last
+        # round, which adds nothing, finds the logic's atoms
+        assert len(set_passes) > 1
+        assert set_passes == bitset_passes
+        assert set_passes[-1] == len(minimal_members(logic.masks))
 
-    def test_constructor_checks_once(self, kernel_frontiers, bitset_passes):
+    def test_constructor_checks_once(self, set_passes, named_gaps, bitset_passes):
         ConcreteLogic(space=EVEN_LOGIC.space, masks=EVEN_LOGIC.masks)
-        # one bitset pass, over the four two-point members, and no kernel call
+        # one bitset pass, over the four two-point members, and no set pass
         assert bitset_passes == [4]
-        assert kernel_frontiers == []
+        assert set_passes == named_gaps == []
 
 
 
@@ -339,10 +340,10 @@ def _blown_up_cases(seed, count):
 class TestRoutesAgree:
     """Blowing each state up into adjacent copies embeds the masks of a
     small space in a space above 16 states, keeping their order, so the
-    partner route there must give the bitset route's results blown up."""
+    set route there must give the bitset route's results blown up."""
 
     def test_partner_route_gives_the_blown_up_bitset_results(
-        self, kernel_frontiers, bitset_passes
+        self, set_passes, bitset_passes
     ):
         seen = Counter()
         for num_states, copies, seeds, masks in _blown_up_cases(71, 60):
@@ -355,12 +356,12 @@ class TestRoutesAgree:
             small, big = space(num_states), space(wide)
             logic = gfe_closure([mask_event(m, small) for m in seeds], small)
             defect = _first_defect(masks, (1 << num_states) - 1)
-            kernel_frontiers.clear()
+            set_passes.clear()
             bitset_passes.clear()
             wide_logic = gfe_closure([mask_event(m, big) for m in blown(seeds)], big)
             wide_masks = frozenset(blown(masks))
             wide_defect = _first_defect(wide_masks, (1 << wide) - 1)
-            assert kernel_frontiers and not bitset_passes
+            assert set_passes and not bitset_passes
             assert wide_logic.masks == closure_oracle(blown(seeds), wide)
             assert wide_logic.masks == frozenset(blown(logic.masks))
             gap = next(gaps_reference(wide_masks, (1 << wide) - 1, sorted(wide_masks)), None)
@@ -368,6 +369,78 @@ class TestRoutesAgree:
             assert wide_defect == (defect and (defect[0], tuple(blown(defect[1]))))
             seen[defect and defect[0]] += 1
         assert min(seen[axiom] for axiom in (None, "A2", "A3")) >= 5, seen
+
+
+def _distinguishing_cases(seed, count):
+    """Member sets with 0 over 17 to 20 states, where masks tell the
+    states apart: the closure of up to five seeds of one to four states,
+    whole or cut, and masks of one to four states, as drawn or closed
+    under complement. Small masks are often disjoint, so unions matter."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        num_states = rng.randint(17, 20)
+        full = (1 << num_states) - 1
+
+        def small():
+            return sum(1 << s for s in rng.sample(range(num_states), rng.randint(1, 4)))
+
+        seeds = [small() for _ in range(rng.randint(0, 5))]
+        closure = sorted(closure_oracle(seeds, num_states))
+        cut = rng.choice(closure)
+        picks = [small() for _ in range(rng.randint(1, 12))]
+        masks = [
+            set(closure),
+            set(closure) - set(rng.sample(closure, min(len(closure), rng.randint(1, 3)))),
+            # keeps A2, so A3 is what breaks
+            set(closure) - {cut, cut ^ full},
+            set(picks),
+            {*picks, *(m ^ full for m in picks)},
+        ][rng.randrange(5)]
+        masks.add(0)
+        yield num_states, seeds, closure, frozenset(masks)
+
+
+def _chain_closed_form(chain, untouched):
+    """The closure of a chain's adjacent pairs: the masks with as many
+    even as odd chain positions, each also with the untouched states."""
+    even, odd = chain[0::2], chain[1::2]
+    balanced = [
+        sum(1 << s for s in (*evens, *odds))
+        for k in range(len(odd) + 1)
+        for evens in itertools.combinations(even, k)
+        for odds in itertools.combinations(odd, k)
+    ]
+    rest = sum(1 << s for s in untouched)
+    return frozenset([*balanced, *(m | rest for m in balanced)])
+
+
+class TestSetRoute:
+    """Above 16 states, on masks that tell the states apart."""
+
+    def test_chain_closure_in_a_wider_space_is_the_closed_form(
+        self, set_passes, bitset_passes
+    ):
+        states = random.Random(2026).sample(range(18), 18)
+        chain, untouched = states[:12], states[12:]
+        sp = space(18)
+        pairs = [(1 << a) | (1 << b) for a, b in zip(chain, chain[1:])]
+        logic = gfe_closure([mask_event(m, sp) for m in pairs], sp)
+        closed_form = _chain_closed_form(chain, untouched)
+        assert len(closed_form) == 2 * math.comb(12, 6) == 1848
+        assert logic.masks == closed_form
+        assert set_passes and not bitset_passes
+
+    def test_first_defect_is_the_first_reference_gap(self):
+        seen = Counter()
+        for num_states, seeds, closure, masks in _distinguishing_cases(81, 300):
+            full = (1 << num_states) - 1
+            sp = space(num_states)
+            assert gfe_closure([mask_event(m, sp) for m in seeds], sp).masks == set(closure)
+            gap = next(gaps_reference(masks, full, sorted(masks)), None)
+            expected = gap and (gap[0], gap[2])
+            assert _first_defect(masks, full) == expected
+            seen[expected and expected[0]] += 1
+        assert min(seen[axiom] for axiom in (None, "A2", "A3")) >= 20, seen
 
 
 def _kernel_cases(seed, count):
@@ -394,32 +467,6 @@ def _kernel_cases(seed, count):
             # frontier masks that are not members are paired all the same
             frontier = sorted(set(frontier) | {rng.randrange(full + 1) for _ in range(3)})
         yield masks, full, frontier
-
-
-class TestPartnerIndex:
-    def test_kernel_yields_what_the_all_pairs_loop_yields(self):
-        seen = Counter()
-        for masks, full, frontier in _kernel_cases(21, 3000):
-            gaps = list(_gaps(masks, full, frontier))
-            assert gaps == list(gaps_reference(masks, full, frontier))
-            seen.update(axiom for axiom, _missing, _offenders in gaps)
-            seen["whole frontier"] += frontier == sorted(masks)
-            seen["several gaps"] += len(gaps) > 1
-        assert min(seen.values()) >= 100, seen
-
-    def test_state_rows_are_the_join_per_state(self):
-        cases = [masks for _num_states, masks in _mask_sets(41, 300, 6)]
-        cases += [masks for masks, _full, _frontier in _kernel_cases(42, 300)]
-        for masks in cases + [set(), {0}]:
-            members = sorted(masks)
-            span = max(members, default=0).bit_length()
-            # states above the span lack every member
-            for width in (span, span + 2) if members else (0,):
-                join = [
-                    int("".join(["0" if m >> s & 1 else "1" for m in reversed(members)]) or "0", 2)
-                    for s in range(width)
-                ]
-                assert _outside(members, width) == join
 
 
 def _horizontal_sum(k, num_states):
@@ -481,11 +528,11 @@ class TestAtomRoute:
             seen[expected and expected[0]] += 1
         assert min(seen[axiom] for axiom in (None, "A1", "A2", "A3")) >= 20, seen
 
-    def test_only_a_failing_set_runs_the_full_pass(self, kernel_frontiers, bitset_passes):
+    def test_only_a_failing_set_runs_the_full_pass(self, named_gaps, bitset_passes):
         masks = frozenset([0, 0b0001, 0b1110, 0b0010, 0b1101, 0b1111])
         assert _first_defect(masks, 0b1111) == ("A3", (0b0001, 0b0010))
         assert bitset_passes == [2]
-        assert kernel_frontiers == [6]
+        assert named_gaps == [(0b0001, 0b0010)]
 
     def test_bitset_atoms_are_the_minimal_members(self):
         for masks, full in _route_cases():
@@ -548,21 +595,22 @@ class TestChainAtBenchmarkScale:
         assert logic.masks == balanced
         assert len(ConcreteLogic(space=sp, masks=balanced)) == 3432
 
-    def test_constructor_checks_the_49_atoms_once(self, kernel_frontiers):
+    def test_constructor_checks_the_49_atoms_once(self, set_passes, named_gaps):
         sp = space(self.STATES)
         pairs = [(1 << a) | (1 << b) for a, b in zip(self.CHAIN, self.CHAIN[1:])]
         logic = gfe_closure([mask_event(m, sp) for m in pairs], sp)
         assert len(logic) == 3432
         ConcreteLogic(space=sp, masks=logic.masks)
-        assert kernel_frontiers == []
-        # two copies of each state: 28 states, where the kernel pairs members
+        assert set_passes == []
+        # two copies of each state: 28 states, where the check runs on a set
         copies = [2] * self.STATES
         wide = space(2 * self.STATES)
         doubled = frozenset(blow_up(m, copies) for m in logic.masks)
         assert len(doubled) == 3432
         ConcreteLogic(space=wide, masks=doubled)
         # the atoms pair one even with one odd chain position: 7 * 7
-        assert kernel_frontiers == [49]
+        assert set_passes == [49]
+        assert named_gaps == []
 
     @pytest.mark.parametrize("removal", ["member", "complement pair", "one"])
     def test_broken_chain_logic_reports_the_first_reference_gap(self, removal):

@@ -14,6 +14,7 @@ import numevents.correlations as correlations_module
 import numevents.valuations as valuations_module
 from numevents import (
     BooleanMeasureAlgebra,
+    BudgetExceededError,
     CorrelationTable,
     Event,
     MissingCorrelationError,
@@ -256,8 +257,9 @@ def test_missing_correlation_rejected():
 
 def test_n_above_the_enumeration_cap_rejected():
     table = build(space(1), 5, {1 << i: [0.5] for i in range(5)})
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceededError) as err:
         violated_01_valuations(table)
+    assert str(err.value) == "n must be at most 4, got 5"
 
 
 def old_evaluation(f, table):
