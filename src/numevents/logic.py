@@ -313,8 +313,9 @@ def gfe_closure(
     Fixpoint under complement and disjoint union, seeded with 0 and 1:
     each round adds the complements, then each atom's unions with the
     members disjoint from it. More than max_size members after a round,
-    seeds included, raises BudgetExceededError. An empty collection
-    needs an explicit state space and yields {0, 1}.
+    seeds included, raises BudgetExceededError; on a set the count is
+    also tested before each atom, so it never passes 2 * max_size. An
+    empty collection needs an explicit state space and yields {0, 1}.
     """
     items = list(events)
     if space is None and not items:
@@ -334,6 +335,9 @@ def gfe_closure(
         before = len(masks)
         masks |= {m ^ full for m in masks}
         for a in _atoms(masks):
+            # a round can reach all 2**S masks; each atom at most doubles
+            if len(masks) > max_size:
+                break
             masks |= {a | b for b in masks if not a & b}
         if len(masks) > max_size:
             raise BudgetExceededError("budget exceeded: closure size")

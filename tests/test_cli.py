@@ -233,6 +233,15 @@ class TestBudget:
         err = capsys.readouterr().err
         assert "budget exceeded" in err
 
+    def test_default_budget_caps_a_wide_closure(self, capsys, tmp_path):
+        # 30 indicator events of single states close to all 2**30 subsets
+        rows = [
+            f"s{i},e{j},{float(i == j)}" for j in range(1, 31) for i in range(1, 31)
+        ]
+        path = _write(tmp_path / "wide.csv", "\n".join(["state,event,value", *rows]) + "\n")
+        assert main(["classify", path]) == 1
+        assert capsys.readouterr() == ("", "error: budget exceeded: closure size\n")
+
     def test_ample_budget_passes(self, capsys):
         assert main(["--budget", "64", "classify", data("two_valued.csv")]) == 0
         capsys.readouterr()

@@ -152,6 +152,12 @@ class TestClosure:
         with pytest.raises(BudgetExceededError):
             gfe_closure(seeds, space(5), max_size=8)
 
+    def test_size_cap_stops_a_round_that_would_reach_every_subset(self):
+        # one round from 30 singletons would add all 2**30 unions
+        sp = space(30)
+        with pytest.raises(BudgetExceededError, match="^budget exceeded: closure size$"):
+            gfe_closure([mask_event(1 << i, sp) for i in range(30)], sp)
+
     def test_size_cap_covers_the_seeds(self):
         # the seeds are already closed, so no round adds a member
         with pytest.raises(BudgetExceededError):
@@ -315,7 +321,7 @@ class TestKernelAgainstOracle:
 def _blown_up_cases(seed, count):
     """Inputs of 6 to 8 states with each state blown up into 2 or 3
     copies, 17 to 24 states in all: closure seeds, and a member set with
-    0 as _kernel_cases draws it, closed and cut or at random, or cut by
+    0 as _member_cases draws it, closed and cut or at random, or cut by
     a complementary pair or closed under complement, which only A3 fails."""
     rng = random.Random(seed)
     for _ in range(count):
@@ -443,8 +449,8 @@ class TestSetRoute:
         assert min(seen[axiom] for axiom in (None, "A2", "A3")) >= 20, seen
 
 
-def _kernel_cases(seed, count):
-    """Member sets with 0, some closed and broken, each with a sorted frontier."""
+def _member_cases(seed, count):
+    """Member sets with 0 over 1 to 10 states, some closed and broken."""
     rng = random.Random(seed)
     for _ in range(count):
         num_states = rng.randint(1, 10)
@@ -458,15 +464,7 @@ def _kernel_cases(seed, count):
         else:
             masks = set(rng.sample(range(full + 1), min(full + 1, rng.randint(1, 60))))
         masks.add(0)
-        members = sorted(masks)
-        if rng.random() < 0.4:
-            frontier = members
-        else:
-            frontier = sorted(rng.sample(members, rng.randint(0, len(members))))
-        if rng.random() < 0.1:
-            # frontier masks that are not members are paired all the same
-            frontier = sorted(set(frontier) | {rng.randrange(full + 1) for _ in range(3)})
-        yield masks, full, frontier
+        yield masks, full
 
 
 def _horizontal_sum(k, num_states):
@@ -483,7 +481,7 @@ def _route_cases():
     complement-closed sets, and small hand-made logics and near-logics."""
     for num_states, masks in _mask_sets(31, 300, 6):
         yield masks, (1 << num_states) - 1
-    for masks, full, _frontier in _kernel_cases(32, 600):
+    for masks, full in _member_cases(32, 600):
         yield frozenset(masks), full
     for num_states in range(1, 7):
         full = (1 << num_states) - 1
@@ -543,14 +541,14 @@ class TestAtomRoute:
 
 class TestBitsets:
     def test_a_bitset_holds_its_masks(self):
-        for masks, full, _frontier in _kernel_cases(61, 300):
+        for masks, full in _member_cases(61, 300):
             bits = _bitset(masks, full.bit_length())
             assert bits == sum(1 << m for m in masks)
             assert list(_set_bits(bits)) == sorted(masks)
         assert list(_set_bits(0)) == []
 
     def test_reversal_complements_every_member(self):
-        for masks, full, _frontier in _kernel_cases(62, 300):
+        for masks, full in _member_cases(62, 300):
             size = full.bit_length()
             complements = _complements(_bitset(masks, size), size)
             assert complements == _bitset({m ^ full for m in masks}, size)
