@@ -20,9 +20,9 @@ from .correlations import check_bell_like, violated_01_valuations
 from .dataio import (
     DataFormatError,
     _json_chunks,
+    _read_logic_masks,
     read_correlations_csv,
     read_events_csv,
-    read_logic_json,
 )
 from .embedding import EMBEDDABLE, NOT_EMBEDDABLE, UNDECIDED, classify_embedding
 from .events import Event, EventFamily, NotTwoValuedError, NumericalEventError
@@ -31,6 +31,7 @@ from .logic import (
     ConcreteLogic,
     boolean_by_minima,
     check_concrete_logic,
+    mask_event,
 )
 from .tolerance import DEFAULT_EPS, _checked, eps_scope, get_eps
 from .valuations import (
@@ -139,20 +140,25 @@ def _cmd_classify(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_boolean(args: argparse.Namespace) -> _Output:
-    space, events, family_indices = read_logic_json(args.input)
+    space, masks, events, family_events = _read_logic_masks(args.input)
     try:
-        logic = ConcreteLogic.from_events(events)
+        if events is None:
+            logic = ConcreteLogic(space, frozenset(masks))
+        else:
+            logic = ConcreteLogic.from_events(events)
     except (NotTwoValuedError, ValueError):
         # only a broken logic gets here: name its first defect and offenders
+        if events is None:
+            events = [mask_event(m, space) for m in masks]
         defect = check_concrete_logic(events)
         offenders = "; ".join(_fmt_values(e) for e in defect.offenders)
         detail = f"axiom {defect.axiom} violated: {defect.detail}"
         if offenders:
             detail += f" ({offenders})"
         raise NumericalEventError(detail) from None
-    if not family_indices:
+    if not family_events:
         raise DataFormatError("'family' must select at least one logic member")
-    family = EventFamily(tuple(events[i] for i in family_indices))
+    family = EventFamily(family_events)
     verdict = boolean_by_minima(logic, family)
     report = {
         "command": "boolean",

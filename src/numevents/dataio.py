@@ -11,6 +11,10 @@ Three file shapes exist:
   distinct ascending digits 1-9, else as one index (``{13}`` is {13}).
 * concrete-logic JSON ``{"states": [...], "logic": [[0,1,...], ...],
   "family": [indices]}`` with 0-based indices into the logic list.
+  ``read_logic_json`` makes each row an Event. The CLI's reader,
+  ``_read_logic_masks``, makes each row one int mask when every row of
+  the file is exactly 0 or 1, and reads any other file as
+  ``read_logic_json`` does, with the same messages.
 
 Parsers report the first offending line; writers emit rows in a fixed
 order so identical data serializes identically.
@@ -18,9 +22,9 @@ order so identical data serializes identically.
 
 from __future__ import annotations
 
-import csv
 import io
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -34,7 +38,7 @@ from .correlations import CorrelationTable
 from .valuations import MAX_N, format_subset, mask_from_indices
 
 # json's own string encoder, taken from its C accelerator so that only
-# read_logic_json, which parses JSON, imports json
+# reading a logic file, which parses JSON, imports json
 try:
     from _json import encode_basestring_ascii
 except ImportError:  # an interpreter built without _json
@@ -69,6 +73,8 @@ def _opened(source, mode: str) -> Iterator[IO[str]]:
 
 
 def _read_rows(source, expected_header: tuple[str, ...]):
+    import csv
+
     with _opened(source, "r") as stream:
         reader = csv.reader(stream)
         try:
@@ -258,6 +264,8 @@ def read_events_csv(source) -> tuple[EventFamily, tuple[str, ...]]:
 def write_events_csv(
     events: Iterable[Event], names: Sequence[str], target
 ) -> None:
+    import csv
+
     items = list(events)
     if len(items) != len(names):
         raise ValueError("one name per event required")
@@ -334,6 +342,8 @@ def read_correlations_csv(source) -> CorrelationTable:
 
 
 def write_correlations_csv(table: CorrelationTable, target) -> None:
+    import csv
+
     _check_labels("state", table.space.labels)
     with _opened(target, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
@@ -344,12 +354,10 @@ def write_correlations_csv(table: CorrelationTable, target) -> None:
                 writer.writerow((label, format_subset(mask), repr(value)))
 
 
-def read_logic_json(source) -> tuple[StateSpace, tuple[Event, ...], tuple[int, ...]]:
-    """Parse a concrete-logic JSON file.
-
-    Returns the state space, the declared member events (not yet checked
-    against the closure axioms) and the 0-based family indices.
-    """
+def _logic_document(source) -> tuple[StateSpace, list, object]:
+    """The state space, the raw logic rows and the raw family of a
+    concrete-logic JSON file, with the document checked up to the rows:
+    the JSON, the keys, the states and a non-empty list of rows."""
     import json
 
     with _opened(source, "r") as stream:
@@ -375,9 +383,14 @@ def read_logic_json(source) -> tuple[StateSpace, tuple[Event, ...], tuple[int, .
     logic_rows = data["logic"]
     if not isinstance(logic_rows, list) or not logic_rows:
         raise DataFormatError("'logic' must be a non-empty list of value rows")
+    return space, logic_rows, data["family"]
+
+
+def _row_events(space: StateSpace, rows: list) -> tuple[Event, ...]:
+    """One Event per logic row, or the first offending row's error."""
     events = []
     numbers = {int, float}  # exact types, so json's true and false (bool) fail
-    for idx, row in enumerate(logic_rows):
+    for idx, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != space.size:
             raise DataFormatError(
                 f"logic row {idx} must list {space.size} values"
@@ -388,15 +401,80 @@ def read_logic_json(source) -> tuple[StateSpace, tuple[Event, ...], tuple[int, .
             events.append(Event(row, space))
         except NumericalEventError as exc:
             raise DataFormatError(f"logic row {idx}: {exc}") from exc
-    family = data["family"]
+    return tuple(events)
+
+
+def _family_indices(family, count: int) -> tuple[int, ...]:
+    """The family's indices, each checked to name one of count rows."""
     if not isinstance(family, list) or not all(
         isinstance(i, int) and not isinstance(i, bool) for i in family
     ):
         raise DataFormatError("'family' must be a list of integers")
     for i in family:
-        if not 0 <= i < len(events):
-            raise DataFormatError(f"family index {i} outside 0..{len(events) - 1}")
-    return space, tuple(events), tuple(family)
+        if not 0 <= i < count:
+            raise DataFormatError(f"family index {i} outside 0..{count - 1}")
+    return tuple(family)
+
+
+def read_logic_json(source) -> tuple[StateSpace, tuple[Event, ...], tuple[int, ...]]:
+    """Parse a concrete-logic JSON file.
+
+    Returns the state space, the declared member events (not yet checked
+    against the closure axioms) and the 0-based family indices.
+    """
+    space, rows, family = _logic_document(source)
+    events = _row_events(space, rows)
+    return space, events, _family_indices(family, len(events))
+
+
+# the binary digit of each value a row may hold to become a mask; 0.0,
+# -0.0 and 1.0 find their ints here
+_BIT_TEXT = {0: "0", 1: "1"}
+
+
+def _exact_masks(rows: list, size: int) -> list[int] | None:
+    """One mask per row, bit k for state k, when every row is a list of
+    size ints or floats that are each exactly 0 or 1; else None.
+
+    Each step runs at C level: one type check over all the values, one
+    join of their digits and one int() per row.
+    """
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {size}:
+        return None
+    if not {int, float}.issuperset(map(type, chain.from_iterable(rows))):
+        return None  # json's true and false too, which equal 1 and 0
+    try:
+        digits = "".join(map(_BIT_TEXT.__getitem__, chain.from_iterable(rows)))
+    except KeyError:
+        return None
+    # reversed, the text holds the last row first, each row's state 0 lowest
+    digits = digits[::-1]
+    masks = [int(digits[k : k + size], 2) for k in range(0, len(digits), size)]
+    masks.reverse()
+    return masks
+
+
+def _read_logic_masks(
+    source,
+) -> tuple[
+    StateSpace, list[int] | None, tuple[Event, ...] | None, tuple[Event, ...]
+]:
+    """``read_logic_json`` for the CLI, which turns rows into masks.
+
+    Returns the state space, the rows and the family's member events.
+    When every row is exactly 0 or 1 the rows come as one mask each, with
+    None in place of the events, and only the family's rows become
+    events. Otherwise the rows come as ``read_logic_json``'s events, with
+    None in place of the masks, and its messages.
+    """
+    space, rows, family = _logic_document(source)
+    masks = _exact_masks(rows, space.size)
+    events = _row_events(space, rows) if masks is None else None
+    family_events = tuple(
+        Event(rows[i], space) if events is None else events[i]
+        for i in _family_indices(family, len(rows))
+    )
+    return space, masks, events, family_events
 
 
 def write_logic_json(

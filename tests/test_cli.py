@@ -333,6 +333,193 @@ def test_boolean_runs_the_full_pass_once_on_a_logic_failing_a3(
     )
 
 
+def _logic_text(logic, family=(1, 2), states=("s1", "s2")):
+    return json.dumps({"states": list(states), "logic": logic, "family": list(family)})
+
+
+_POWER2 = [[0, 0], [1, 0], [0, 1], [1, 1]]
+_A3_FAILING = [[0, 0, 0], [1, 1, 1], [1, 0, 0], [0, 1, 1], [0, 1, 0], [1, 0, 1]]
+
+# Logic files at the edges of the mask reader, with what `boolean` printed
+# when every row became an Event: the exit code, then either the text
+# report and the JSON report, or the error on stderr (in both formats).
+# A row that is not exactly 0 or 1, or a bad shape or type, sends the
+# whole file down the per-row path, where the first offending row names
+# the error; a logic read as masks that fails an axiom names the same
+# offenders as its rows would.
+BOOLEAN_EDGE_CASES = [
+    (
+        "within-eps",
+        _logic_text([[0, 1e-12], [1 - 1e-12, 0], [0, 1], [1, 1 - 1e-12]]),
+        0,
+        (
+            "logic: 4 events over 2 states\nfamily: n=2\nverdict: Boolean\n"
+            "witnesses:\n- a_12 = [1.0, 0.0]\n",
+            {
+                "command": "boolean",
+                "logic_size": 4,
+                "states": ["s1", "s2"],
+                "n": 2,
+                "boolean": True,
+                "missing_minimum": None,
+                "witnesses": [{"name": "a_12", "values": [1.0, 0.0]}],
+            },
+        ),
+    ),
+    (
+        "half",
+        _logic_text([[0, 0], [0.5, 0.5], [1, 0], [0, 1], [1, 1]], (2, 3)),
+        1,
+        "axiom two-valued violated: member is not two-valued ([0.5, 0.5])",
+    ),
+    (
+        "half-then-two",
+        _logic_text([[0, 0], [0.5, 0.5], [2, 0], [0, 1], [1, 1]], (3, 4)),
+        1,
+        "logic row 2: value 2 at state s1 outside [0, 1]",
+    ),
+    (
+        "two",
+        _logic_text([[0, 0], [1, 0], [2, 1], [1, 1]]),
+        1,
+        "logic row 2: value 2 at state s1 outside [0, 1]",
+    ),
+    (
+        "minus-0.1",
+        _logic_text([[0, 0], [1, 0], [-0.1, 1], [1, 1]]),
+        1,
+        "logic row 2: value -0.1 at state s1 outside [0, 1]",
+    ),
+    (
+        "NaN",
+        _logic_text([[0, 0], [float("nan"), 0], [0, 1], [1, 1]]),
+        1,
+        "logic row 1: value nan at state s1 outside [0, 1]",
+    ),
+    (
+        "Infinity",
+        _logic_text([[0, 0], [1, 0], [0, float("inf")], [1, 1]]),
+        1,
+        "logic row 2: value inf at state s2 outside [0, 1]",
+    ),
+    (
+        "400-digit-integer",
+        _logic_text([[0, 0], [1, 0], [0, 10**399], [1, 1]]),
+        1,
+        "logic row 2: value at state s2 outside the float range",
+    ),
+    (
+        "true",
+        _logic_text([[0, 0], [True, 0], [0, 1], [1, 1]]),
+        1,
+        "logic row 1 must contain numbers",
+    ),
+    (
+        "short-row",
+        _logic_text([[0, 0], [1], [0, 1], [1, 1]]),
+        1,
+        "logic row 1 must list 2 values",
+    ),
+    (
+        "non-list-row",
+        _logic_text([[0, 0], 1, [0, 1], [1, 1]]),
+        1,
+        "logic row 1 must list 2 values",
+    ),
+    ("bad-family-index", _logic_text(_POWER2, (1, 9)), 1, "family index 9 outside 0..3"),
+    (
+        "empty-family",
+        _logic_text(_POWER2, ()),
+        1,
+        "'family' must select at least one logic member",
+    ),
+    (
+        "empty-family-failing-a2",
+        _logic_text([[0, 0], [1, 0], [1, 1]], ()),
+        1,
+        "axiom A2 violated: complement missing ([1.0, 0.0])",
+    ),
+    (
+        "A1",
+        _logic_text([[1, 0], [0, 1], [1, 1]], (0, 1)),
+        1,
+        "axiom A1 violated: zero event missing",
+    ),
+    (
+        "A2",
+        _logic_text([[0, 0], [1, 0], [1, 1]]),
+        1,
+        "axiom A2 violated: complement missing ([1.0, 0.0])",
+    ),
+    (
+        "A3",
+        _logic_text(_A3_FAILING, (2, 4), ("a", "b", "c")),
+        1,
+        "axiom A3 violated: orthogonal sum missing ([1.0, 0.0, 0.0]; [0.0, 1.0, 0.0])",
+    ),
+    (
+        "A3-floats",
+        _logic_text(
+            [[0.0, -0.0, 0], [1.0, 1, 1]] + _A3_FAILING[2:], (2, 4), ("a", "b", "c")
+        ),
+        1,
+        "axiom A3 violated: orthogonal sum missing ([1.0, 0.0, 0.0]; [0.0, 1.0, 0.0])",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, code, expected",
+    [case[1:] for case in BOOLEAN_EDGE_CASES],
+    ids=[case[0] for case in BOOLEAN_EDGE_CASES],
+)
+def test_boolean_on_the_edges_of_the_mask_reader(text, code, expected, tmp_path, capsys):
+    path = _write(tmp_path / "logic.json", text)
+    if isinstance(expected, str):
+        outputs = [("", "error: " + expected + "\n")] * 2
+    else:
+        report_text, report = expected
+        outputs = [(report_text, ""), (json.dumps(report, indent=2) + "\n", "")]
+    for fmt, output in zip(("text", "json"), outputs):
+        assert main(["--format", fmt, "boolean", path]) == code
+        assert capsys.readouterr() == output
+
+
+def test_boolean_builds_events_only_for_the_family_and_witnesses(
+    tmp_path, monkeypatch, capsys
+):
+    import numevents.logic as logic_module
+    from numevents import Event, gfe_closure
+
+    # the 14-state chain of adjacent pairs, whose logic has 3432 members
+    sp = StateSpace(tuple(f"q{k}" for k in range(14)))
+    pairs = [3 << k for k in range(13)]
+    members = sorted(gfe_closure([mask_event(m, sp) for m in pairs], sp).masks)
+    family = [members.index(pairs[0]), members.index(pairs[2])]
+    path = str(tmp_path / "chain.json")
+    write_logic_json(sp, [mask_event(m, sp) for m in members], family, path)
+    built, masked = [], []
+    init, mask = Event.__init__, logic_module.event_mask
+
+    def counting_init(self, values, space):
+        built.append(values)
+        init(self, values, space)
+
+    def counting_mask(p):
+        masked.append(p)
+        return mask(p)
+
+    monkeypatch.setattr(Event, "__init__", counting_init)
+    monkeypatch.setattr(logic_module, "event_mask", counting_mask)
+    assert main(["--format", "json", "boolean", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["logic_size"], report["boolean"]) == (3432, True)
+    # the family's two rows and the witnesses, against one per member
+    assert len(built) <= len(family) + len(report["witnesses"])
+    # boolean_by_minima's look-up of each family member
+    assert len(masked) == len(family)
+
+
 def test_cli_import_leaves_numpy_unloaded():
     src = os.path.dirname(os.path.dirname(numevents.__file__))
     env = dict(os.environ)
@@ -340,10 +527,11 @@ def test_cli_import_leaves_numpy_unloaded():
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     # nor the dataclasses code generator with inspect, nor the fixtures,
-    # nor json, which only reading a logic file needs
+    # nor json, which only reading a logic file needs, nor csv, which
+    # only reading or writing a CSV file needs
     code = (
         "import sys, numevents.cli; print([m for m in "
-        "('numpy', 'dataclasses', 'inspect', 'numevents.fixtures', 'json') "
+        "('numpy', 'dataclasses', 'inspect', 'numevents.fixtures', 'json', 'csv') "
         "if m in sys.modules])"
     )
     done = subprocess.run(
@@ -359,7 +547,7 @@ def test_cli_import_leaves_numpy_unloaded():
 TRACED_CLI_NAMES = (
     "read_events_csv",
     "read_correlations_csv",
-    "read_logic_json",
+    "_read_logic_masks",
     "EventFamily",
     "check_bell_like",
     "violated_01_valuations",

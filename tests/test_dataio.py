@@ -17,7 +17,9 @@ from numevents import (
     approx_equal,
     correlations_csv_text,
     dataio,
+    event_mask,
     events_csv_text,
+    mask_event,
     read_correlations_csv,
     read_events_csv,
     read_logic_json,
@@ -570,6 +572,55 @@ class TestLogicJson:
         assert back_space.labels == tuple(labels)
         assert [e.values for e in back_events] == rows
         assert back_family == tuple(family)
+
+
+class TestLogicMasks:
+    """The CLI's reader against read_logic_json on the same text."""
+
+    @settings(max_examples=60, phases=NO_SHRINK)
+    @given(picks=st.data())
+    def test_rows_read_as_the_masks_of_read_logic_jsons_events(self, picks):
+        num_states = picks.draw(st.integers(1, 6), label="states")
+        sp = space(num_states)
+        masks = picks.draw(
+            st.lists(st.integers(0, (1 << num_states) - 1), min_size=1, max_size=8),
+            label="masks",
+        )
+        family = picks.draw(
+            st.lists(st.integers(0, len(masks) - 1), max_size=4), label="family"
+        )
+        buffer = io.StringIO()
+        write_logic_json(sp, [mask_event(m, sp) for m in masks], family, buffer)
+        payload = json.loads(buffer.getvalue())
+        # each written 0 or 1 as an int or a float, 0 also as -0.0, and
+        # now and then a value within eps of it or far from both
+        spellings = {
+            0: st.sampled_from([0, 0.0, -0.0, 0, 0.0, -0.0, 0, 1e-12, 0.5]),
+            1: st.sampled_from([1, 1.0, 1, 1.0, 1, 1.0, 1, 1 - 1e-12, 0.5]),
+        }
+        payload["logic"] = [
+            [picks.draw(spellings[v], label="value") for v in row]
+            for row in payload["logic"]
+        ]
+        text = json.dumps(payload)
+        expected = read_logic_json(io.StringIO(text))
+        got = dataio._read_logic_masks(io.StringIO(text))
+        read_space, events, indices = expected
+        got_space, got_masks, got_events, family_events = got
+        assert got_space == read_space
+        exact = all(v in (0, 1) for row in payload["logic"] for v in row)
+        if exact:
+            assert got_events is None
+            assert got_masks == [event_mask(e) for e in events] == masks
+        else:
+            assert got_masks is None
+            assert got_events == events
+        want = tuple(events[i] for i in indices)
+        assert family_events == want
+        # the same floats, down to the sign of each zero
+        assert [list(map(repr, e.values)) for e in family_events] == [
+            list(map(repr, e.values)) for e in want
+        ]
 
 
 class TestJsonText:

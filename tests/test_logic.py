@@ -296,7 +296,7 @@ class TestKernelAgainstOracle:
             logic = gfe_closure([mask_event(m, sp) for m in seeds], sp)
             assert logic.masks == closure_oracle(seeds, num_states)
 
-    def test_closure_checks_each_member_once(self, set_passes, bitset_passes):
+    def test_set_route_closure_runs_the_bitset_rounds(self, set_passes, bitset_passes):
         small = gfe_closure([mask_event(m, space(6)) for m in (3, 6, 12, 24)], space(6))
         assert set_passes == []
         # three copies of each state: 18 states, where the closure runs on a set
@@ -348,7 +348,7 @@ class TestRoutesAgree:
     small space in a space above 16 states, keeping their order, so the
     set route there must give the bitset route's results blown up."""
 
-    def test_partner_route_gives_the_blown_up_bitset_results(
+    def test_set_route_gives_the_blown_up_bitset_results(
         self, set_passes, bitset_passes
     ):
         seen = Counter()
